@@ -177,10 +177,12 @@ def _resolve_seed(value: int | None) -> int:
 def _ga_params(args: argparse.Namespace) -> GAParams:
     defaults = GAParams()
     return GAParams(
-        population_size=args.population or defaults.population_size,
+        population_size=args.population if args.population is not None
+        else defaults.population_size,
         max_generations=args.generations if args.generations is not None
         else defaults.max_generations,
-        stagnation_limit=args.stagnation or defaults.stagnation_limit,
+        stagnation_limit=args.stagnation if args.stagnation is not None
+        else defaults.stagnation_limit,
         seed=_resolve_seed(args.seed),
     )
 

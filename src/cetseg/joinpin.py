@@ -17,13 +17,12 @@ import numpy as np
 
 from .core import (
     ChangepointConfiguration,
-    DegenerateFitError,
     DomainError,
     MeanStructure,
     TimeSeries,
 )
 from .estimation import LOG_2PI
-from .search import GAParams, MIN_SEGMENT_LENGTH, _ga_engine, _Memo
+from .search import GAParams, MIN_SEGMENT_LENGTH, ga_minimize
 
 __all__ = ["JoinpinFit", "fit_joinpin", "joinpin_search", "default_knot_penalty"]
 
@@ -88,6 +87,23 @@ def _design(taus: tuple[int, ...], n: int) -> np.ndarray:
     return np.column_stack(cols)
 
 
+def _least_squares(values: np.ndarray, taus: tuple[int, ...]):
+    """Hinge-basis coefficients, fitted values and residual sum of squares."""
+    X = _design(taus, values.size)
+    coef, _, rank, _ = np.linalg.lstsq(X, values, rcond=None)
+    if rank < X.shape[1]:
+        raise DomainError(f"singular hinge design for knots {taus}")
+    fitted = X @ coef
+    resid = values - fitted
+    return coef, fitted, float(np.dot(resid, resid))
+
+
+def _scores(rss: float, n: int, m: int, sigma2: float, knot_penalty: float) -> tuple[float, float]:
+    """-2 log likelihood at the fixed variance, and the BIC-style score."""
+    n2ll = rss / sigma2 + n * math.log(sigma2) + n * LOG_2PI
+    return n2ll, n2ll + knot_penalty * m
+
+
 def fit_joinpin(
     series: TimeSeries,
     config: ChangepointConfiguration,
@@ -117,15 +133,8 @@ def fit_joinpin(
         raise DomainError("sigma2_fixed must be positive")
     if knot_penalty is None:
         knot_penalty = default_knot_penalty(n)
-    X = _design(config.taus, n)
-    coef, _, rank, _ = np.linalg.lstsq(X, series.values, rcond=None)
-    if rank < X.shape[1]:
-        raise DomainError(f"singular hinge design for knots {config.taus}")
-    fitted = X @ coef
-    resid = series.values - fitted
-    rss = float(np.dot(resid, resid))
-    n2ll = rss / sigma2_fixed + n * math.log(sigma2_fixed) + n * LOG_2PI
-    bic = n2ll + knot_penalty * config.m
+    coef, fitted, rss = _least_squares(series.values, config.taus)
+    n2ll, bic = _scores(rss, n, config.m, sigma2_fixed, knot_penalty)
     knot_values = tuple(
         float(coef[0] + coef[1] * tau + sum(coef[2 + j] * max(0, tau - tj)
                                             for j, tj in enumerate(config.taus)))
@@ -153,22 +162,23 @@ def joinpin_search(
 ) -> JoinpinFit:
     """GA search for the BIC-minimal knot configuration.
 
-    Reuses the changepoint search engine with this model's fitness.  A
-    singular hinge design (possible only transiently during search) is
-    treated as an unscoreable configuration rather than an error.
+    Runs :func:`cetseg.search.ga_minimize` on this model's score and fits
+    the winner once with :func:`fit_joinpin`.  A singular hinge design
+    (possible only transiently during search) is an unscoreable
+    configuration rather than an error.
     """
     if not sigma2_fixed > 0.0:
         raise DomainError("sigma2_fixed must be positive")
+    n = series.n
+    kp = default_knot_penalty(n) if knot_penalty is None else knot_penalty
 
-    def fitness(taus: tuple[int, ...]) -> JoinpinFit:
+    def fitness(taus: tuple[int, ...]) -> float:
         try:
-            return fit_joinpin(
-                series, ChangepointConfiguration(taus), sigma2_fixed, knot_penalty
-            )
-        except DomainError as err:
+            _, _, rss = _least_squares(series.values, taus)
+        except DomainError:
             # Repair guarantees segment lengths, so only singularity lands here.
-            raise DegenerateFitError(str(err)) from err
+            return math.inf
+        return _scores(rss, n, len(taus), sigma2_fixed, kp)[1]
 
-    memo = _Memo(fitness)
-    best, _, _ = _ga_engine(series.n, _MIN_SEG, memo, params, max_m, ())
-    return best
+    run = ga_minimize(fitness, n, _MIN_SEG, params, max_m=max_m)
+    return fit_joinpin(series, ChangepointConfiguration(run.taus), sigma2_fixed, knot_penalty)

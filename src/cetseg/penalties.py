@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable, Sequence
 
 from .core import (
     ChangepointConfiguration,
@@ -29,7 +30,7 @@ from .core import (
     Penalty,
 )
 
-__all__ = ["PenaltyContext", "penalty_value", "penalized_score"]
+__all__ = ["PenaltyContext", "penalty_function", "penalty_value", "penalized_score"]
 
 
 @dataclass(frozen=True)
@@ -65,8 +66,9 @@ _MDL_COEFFS = {
 }
 
 
-def penalty_value(ctx: PenaltyContext) -> float:
-    """Penalty charged for the model and configuration in ``ctx``.
+def penalty_function(model: ModelSpec, n: int) -> Callable[[tuple[int, ...], Sequence[int]], float]:
+    """The penalty of ``model`` on a series of length ``n``, as a function of
+    a configuration's boundaries and regime lengths.
 
     Raises
     ------
@@ -74,23 +76,40 @@ def penalty_value(ctx: PenaltyContext) -> float:
         For model families scored outside these tables (joinpin and
         long-memory carry their own scoring rules).
     """
-    key = (ctx.model.mean_structure, ctx.model.error_model)
-    config = ctx.config
-    n = ctx.n
-    m = config.m
-    if ctx.model.penalty is Penalty.BIC:
+    key = (model.mean_structure, model.error_model)
+    log = math.log
+    log_n = log(n)
+    if model.penalty is Penalty.BIC:
         if key not in _BIC_K:
-            raise DomainError(f"no BIC table entry for {ctx.model.label()}")
-        return _BIC_K[key](m) * math.log(n)
+            raise DomainError(f"no BIC table entry for {model.label()}")
+        k_of_m = _BIC_K[key]
+        return lambda taus, lengths: k_of_m(len(taus)) * log_n
     if key not in _MDL_COEFFS:
-        raise DomainError(f"no MDL table entry for {ctx.model.label()}")
-    if m == 0:
-        return 0.0
+        raise DomainError(f"no MDL table entry for {model.label()}")
     logn_coeff, seglen_coeff = _MDL_COEFFS[key]
-    value = logn_coeff * math.log(n) + 2.0 * math.log(m)
-    value += seglen_coeff * sum(math.log(length) for length in config.regime_lengths(n))
-    value += 2.0 * sum(math.log(tau) for tau in config.taus[1:])
-    return value
+
+    def mdl(taus: tuple[int, ...], lengths: Sequence[int]) -> float:
+        m = len(taus)
+        if m == 0:
+            return 0.0
+        value = logn_coeff * log_n + 2.0 * log(m)
+        value += seglen_coeff * sum(map(log, lengths))
+        value += 2.0 * sum(map(log, taus[1:]))
+        return value
+
+    return mdl
+
+
+def penalty_value(ctx: PenaltyContext) -> float:
+    """Penalty charged for the model and configuration in ``ctx``.
+
+    Raises
+    ------
+    DomainError
+        For model families scored outside these tables.
+    """
+    config = ctx.config
+    return penalty_function(ctx.model, ctx.n)(config.taus, config.regime_lengths(ctx.n))
 
 
 def penalized_score(neg2loglik: float, ctx: PenaltyContext) -> float:

@@ -1,5 +1,13 @@
 """Changepoint search: exact enumeration for tiny series, GA otherwise.
 
+Searches score configurations with the O(m) fast fits of
+:mod:`cetseg.fastscore`, built once per search from prefix sums of the
+series.  A configuration the fast fit cannot score safely is scored
+with the reference :func:`evaluate` instead.  The cache holds one sort
+key per configuration, not a fit.  The winner of each search is fitted
+once more with :func:`evaluate`; that refit is the reported result, and
+it must agree with the score the search ranked it by.
+
 The genetic algorithm is deterministic for a given seed.  Every random
 draw comes from a stream keyed by ``(seed, generation, slot)``, so the
 values consumed for one individual never depend on how many draws an
@@ -14,12 +22,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Any, Callable, Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
 from . import estimation
 from .core import (
+    CetsegError,
     ChangepointConfiguration,
     DegenerateFitError,
     DomainError,
@@ -30,6 +39,7 @@ from .core import (
     ModelSpec,
     TimeSeries,
 )
+from .fastscore import score_function
 from .penalties import PenaltyContext, penalty_value
 
 __all__ = [
@@ -38,9 +48,13 @@ __all__ = [
     "evaluate",
     "GAParams",
     "SearchReport",
+    "GARun",
+    "RefitMismatchError",
     "exhaustive_optimize",
+    "ga_minimize",
     "ga_optimize",
     "EXHAUSTIVE_MAX_N",
+    "REFIT_RTOL",
 ]
 
 # Shortest regime each mean structure can estimate its parameters on.
@@ -55,6 +69,15 @@ MIN_SEGMENT_LENGTH = {
 # Enumeration over all subsets of boundary positions is exponential in
 # N; keep the exact path as a small-N oracle only.
 EXHAUSTIVE_MAX_N = 25
+
+# Largest relative gap allowed between the score a search ranked its
+# winner by and the winner's reference refit.
+REFIT_RTOL = 1e-9
+
+
+class RefitMismatchError(CetsegError):
+    """Raised when a search winner's reference refit disagrees with the
+    score the search ranked it by."""
 
 
 def min_segment_length(model: ModelSpec) -> int:
@@ -146,10 +169,15 @@ class GAParams:
 class SearchReport:
     """Outcome of a changepoint search.
 
+    ``best`` is the reference :func:`evaluate` refit of the winning
+    configuration; the search itself ranked configurations by their
+    fast scores, which the refit matches within ``REFIT_RTOL``.
     ``score_history`` holds the best score seen up to and including
     each generation (a single entry for exact enumeration), so it is
-    non-increasing.  ``evaluations_count`` counts distinct
-    configurations actually fitted; refits are memoized.
+    non-increasing; entries are fast scores, except that the final best
+    score is replaced by its refit, so ``score_history[-1] ==
+    best.score``.  ``evaluations_count`` counts distinct configurations
+    scored; the search caches one score per configuration.
     """
 
     best: FitResult
@@ -159,34 +187,54 @@ class SearchReport:
     seed: int | None
 
 
+@dataclass(frozen=True)
+class GARun:
+    """What :func:`ga_minimize` found: the winning boundaries and their
+    score, the best score after each generation, the generations run
+    and the number of distinct configurations scored."""
+
+    taus: tuple[int, ...]
+    score: float
+    score_history: tuple[float, ...]
+    generations_run: int
+    evaluations_count: int
+
+
 _INF = math.inf
 
+Fitness = Callable[[tuple[int, ...]], float]
 
-class _Memo:
-    """Fitness cache keyed by boundary tuple.
 
-    ``fit`` maps a boundary tuple to a scored payload exposing
-    ``sort_key()``; degenerate fits are cached as +inf entries so the
-    search can traverse them without refitting.
+def _model_fitness(series: TimeSeries, model: ModelSpec) -> Fitness:
+    """Score of ``model`` at a feasible boundary tuple, +inf if degenerate.
+
+    Fast O(m) scores, with the reference fit where the fast one cannot
+    be trusted.
     """
+    fast = score_function(series, model)
 
-    def __init__(self, fit: Callable[[tuple[int, ...]], Any]):
-        self.fit = fit
-        self.cache: dict[tuple[int, ...], tuple[tuple, Any]] = {}
-        self.evaluations = 0
-
-    def score(self, taus: tuple[int, ...]) -> tuple[tuple, Any]:
-        hit = self.cache.get(taus)
-        if hit is not None:
-            return hit
-        self.evaluations += 1
+    def fitness(taus: tuple[int, ...]) -> float:
+        score = fast(taus)
+        if score is not None:
+            return score
         try:
-            result = self.fit(taus)
-            entry = (result.sort_key(), result)
+            return evaluate(series, model, ChangepointConfiguration(taus)).score
         except DegenerateFitError:
-            entry = ((_INF, len(taus), taus), None)
-        self.cache[taus] = entry
-        return entry
+            return _INF
+
+    return fitness
+
+
+def _refit(series: TimeSeries, model: ModelSpec, taus: tuple[int, ...], score: float) -> FitResult:
+    """The reference fit of a search winner, checked against its search score."""
+    if score == _INF:
+        raise DegenerateFitError("every configuration encountered fits the data exactly")
+    best = evaluate(series, model, ChangepointConfiguration(taus))
+    if not math.isclose(best.score, score, rel_tol=REFIT_RTOL, abs_tol=REFIT_RTOL):
+        raise RefitMismatchError(
+            f"{model.label()} at {taus}: search score {score!r}, reference refit {best.score!r}"
+        )
+    return best
 
 
 def _enumerate_configs(n: int, min_len: int, max_m: int) -> Iterator[tuple[int, ...]]:
@@ -222,20 +270,20 @@ def exhaustive_optimize(
         )
     if max_m is None:
         max_m = n - 1
-    memo = _Memo(lambda taus: evaluate(series, model, ChangepointConfiguration(taus)))
+    fitness = _model_fitness(series, model)
     best_key = None
-    best = None
+    evaluations = 0
     for taus in _enumerate_configs(n, min_len, max_m):
-        key, result = memo.score(taus)
-        if result is not None and (best_key is None or key < best_key):
-            best_key, best = key, result
-    if best is None:
-        raise DegenerateFitError("every feasible configuration fits the data exactly")
+        key = (fitness(taus), len(taus), taus)
+        evaluations += 1
+        if best_key is None or key < best_key:
+            best_key = key
+    best = _refit(series, model, best_key[2], best_key[0])
     return SearchReport(
         best=best,
         score_history=(best.score,),
         generations_run=0,
-        evaluations_count=memo.evaluations,
+        evaluations_count=evaluations,
         seed=None,
     )
 
@@ -258,8 +306,8 @@ def _repair(bits: np.ndarray, n: int, min_len: int, max_m: int) -> tuple[int, ..
     kept: list[int] = []
     prev = 0
     if max_m > 0:
-        for pos in np.flatnonzero(bits):
-            tau = int(pos) + 1
+        for pos in bits.nonzero()[0].tolist():
+            tau = pos + 1
             if tau - prev >= min_len:
                 kept.append(tau)
                 prev = tau
@@ -270,15 +318,34 @@ def _repair(bits: np.ndarray, n: int, min_len: int, max_m: int) -> tuple[int, ..
     return tuple(kept)
 
 
-def _ga_engine(
+def ga_minimize(
+    fitness: Fitness,
     n: int,
     min_len: int,
-    memo: _Memo,
-    params: GAParams,
-    max_m: int | None,
-    initial: Sequence[tuple[int, ...]],
-) -> tuple[Any, tuple[float, ...], int]:
-    """Shared GA loop over boundary bitvectors; returns (best, history, generations)."""
+    params: GAParams = GAParams(),
+    *,
+    max_m: int | None = None,
+    initial: Sequence[tuple[int, ...]] = (),
+) -> GARun:
+    """Minimize ``fitness`` over boundary tuples of a length-``n`` series.
+
+    ``fitness`` maps a boundary tuple whose regimes all span at least
+    ``min_len`` indices to its score, or +inf if it cannot be scored.
+    Each distinct tuple is scored once; only its sort key
+    ``(score, m, taus)`` is kept.  Individuals are inclusion bitvectors
+    over candidate boundaries ``1..n-1``; infeasible children are
+    repaired, never rejected.  See :func:`ga_optimize` for the
+    generation scheme and the stopping rule.
+
+    Raises
+    ------
+    InfeasibleModelError
+        If ``n < 2 * min_len``, i.e. no single changepoint is feasible.
+    DomainError
+        If ``max_m < 0``.
+    DegenerateFitError
+        If every configuration encountered scores +inf.
+    """
     if n < 2 * min_len:
         raise InfeasibleModelError(
             f"series of length {n} is too short to search (need >= {2 * min_len})"
@@ -288,6 +355,17 @@ def _ga_engine(
     if cap < 0:
         raise DomainError("max_m must be >= 0")
     pop_size = params.population_size
+    cache: dict[tuple[int, ...], tuple] = {}
+
+    def ranked(pop: list[tuple[int, ...]]) -> list[tuple]:
+        keys = []
+        for taus in pop:
+            key = cache.get(taus)
+            if key is None:
+                key = cache[taus] = (fitness(taus), len(taus), taus)
+            keys.append(key)
+        keys.sort()
+        return keys
 
     include_prob = min(1.0, 3.0 / n)
     population: list[tuple[int, ...]] = [()]
@@ -299,48 +377,51 @@ def _ga_engine(
         bits = rng.random(length) < include_prob
         population.append(_repair(bits, n, min_len, cap))
 
-    def ranked(pop: list[tuple[int, ...]]) -> list[tuple[tuple, tuple[int, ...]]]:
-        return sorted(((memo.score(taus)[0], taus) for taus in pop), key=lambda kv: kv[0])
-
     elite_count = max(1, round(params.elite_fraction * pop_size))
+    flip_prob = params.mutation_rate / length
     current = ranked(population)
-    best_key, best_taus = current[0]
+    best_key = current[0]
     history = [best_key[0]]
     stagnation = 0
     generations = 0
 
     for gen in range(1, params.max_generations + 1):
+        parent_bits: dict[int, np.ndarray] = {}
+
+        def bits_of(rank: int) -> np.ndarray:
+            bits = parent_bits.get(rank)
+            if bits is None:
+                bits = parent_bits[rank] = _taus_to_bits(current[rank][2], length)
+            return bits
+
         children: list[tuple[int, ...]] = []
         for slot in range(pop_size - elite_count):
             rng = np.random.default_rng((params.seed, gen, slot))
-            picks = rng.integers(0, pop_size, size=6)
-            p1 = current[int(picks[:3].min())][1]
-            p2 = current[int(picks[3:].min())][1]
-            bits = _taus_to_bits(p1, length)
+            p = rng.integers(0, pop_size, size=6).tolist()
+            bits = bits_of(min(p[0], p[1], p[2]))
             if rng.random() < params.crossover_prob:
                 mask = rng.random(length) < 0.5
-                bits = np.where(mask, bits, _taus_to_bits(p2, length))
+                bits = np.where(mask, bits, bits_of(min(p[3], p[4], p[5])))
             if params.mutation_rate > 0.0:
-                bits = bits ^ (rng.random(length) < params.mutation_rate / length)
+                bits = bits ^ (rng.random(length) < flip_prob)
             children.append(_repair(bits, n, min_len, cap))
-        population = [taus for _, taus in current[:elite_count]] + children
+        population = [key[2] for key in current[:elite_count]] + children
         current = ranked(population)
         generations = gen
-        gen_key, _ = current[0]
+        gen_key = current[0]
         if gen_key[0] < best_key[0]:
             stagnation = 0
         else:
             stagnation += 1
         if gen_key < best_key:
-            best_key, best_taus = gen_key, current[0][1]
+            best_key = gen_key
         history.append(best_key[0])
         if stagnation >= params.stagnation_limit:
             break
 
-    best = memo.score(best_taus)[1]
-    if best is None:
+    if best_key[0] == _INF:
         raise DegenerateFitError("every configuration encountered fits the data exactly")
-    return best, tuple(history), generations
+    return GARun(best_key[2], best_key[0], tuple(history), generations, len(cache))
 
 
 def ga_optimize(
@@ -370,19 +451,27 @@ def ga_optimize(
         changepoint is feasible and there is nothing to search.
     DegenerateFitError
         If every configuration encountered fits the data exactly.
+    RefitMismatchError
+        If the winner's reference refit disagrees with its search score.
     """
     n = series.n
     for config in initial:
         config._check_n(n)
-    memo = _Memo(lambda taus: evaluate(series, model, ChangepointConfiguration(taus)))
-    best, history, generations = _ga_engine(
-        n, min_segment_length(model), memo, params, max_m,
-        [config.taus for config in initial],
+    run = ga_minimize(
+        _model_fitness(series, model), n, min_segment_length(model), params,
+        max_m=max_m, initial=[config.taus for config in initial],
+    )
+    best = _refit(series, model, run.taus, run.score)
+    # The final best entries are the winner's fast score; report its refit
+    # there, without letting an earlier entry fall below it.
+    history = tuple(
+        best.score if score == run.score else max(score, best.score)
+        for score in run.score_history
     )
     return SearchReport(
         best=best,
         score_history=history,
-        generations_run=generations,
-        evaluations_count=memo.evaluations,
+        generations_run=run.generations_run,
+        evaluations_count=run.evaluations_count,
         seed=params.seed,
     )

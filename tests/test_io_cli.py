@@ -316,6 +316,13 @@ class TestCliFit:
         assert main(["fit", "--input", str(p), "--format", "csv",
                      "--model", "trend-shift"]) == 3
 
+    @pytest.mark.parametrize("flag, value", [
+        ("--population", "0"), ("--population", "1"), ("--stagnation", "0"),
+    ])
+    def test_out_of_range_ga_settings_exit_3(self, csv_file, capsys, flag, value):
+        # zero is a value, not "unset": it must be rejected, not replaced by the default
+        assert main(_fit_args(csv_file, "--model", "mean-shift", flag, value)) == 3
+
     def test_bic_only_families_reject_mdl(self, csv_file, capsys):
         assert main(_fit_args(csv_file, "--model", "long-memory",
                               "--penalty", "mdl")) == 3

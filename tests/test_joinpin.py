@@ -177,3 +177,21 @@ class TestJoinpinSearch:
         series = _series(44, 20)
         with pytest.raises(DomainError):
             joinpin_search(series, sigma2_fixed=0.0, params=lean_ga())
+
+
+@pytest.mark.parametrize("seed, taus, score", [
+    (21, (38, 41, 83, 89), "275.5586049102469"),
+    (22, (35, 42, 85, 89), "252.0999801120143"),
+])
+def test_golden_search_answer(seed, taus, score):
+    # pinned on the search that cached whole fits; caching scores must not move it
+    from cetseg.search import GAParams
+    from cetseg.simulate import SimSpec, simulate_series
+
+    series = simulate_series(SimSpec(
+        n=120, taus=(40, 85), mus=(0.0, 1.0, 0.3), betas=(0.0, 0.01, -0.01),
+        phi=0.3, sigma=0.6, seed=seed, first_year=1900))
+    params = GAParams(population_size=40, max_generations=40, stagnation_limit=15, seed=seed)
+    fit = joinpin_search(series, 0.36, params=params)
+    assert fit.config.taus == taus
+    assert repr(fit.bic_score) == score

@@ -358,3 +358,40 @@ class TestGA:
         oracle = exhaustive_optimize(series, model)
         report = ga_optimize(series, model, GAParams(seed=11))
         assert report.best.score == pytest.approx(oracle.best.score, abs=1e-9)
+
+
+# GA trajectories pinned on the two-pass scoring path: (family, taus,
+# repr(best score), generations run, distinct configurations scored).
+# Fast scoring must leave every ranking, and so every trajectory, as it was.
+GOLDEN_SPEC = dict(n=120, taus=(40, 85), mus=(0.0, 1.0, 0.3), betas=(0.0, 0.01, -0.01),
+                   phi=0.3, sigma=0.6, first_year=1900)
+GOLDEN = (
+    (("mean-shift", "ar1", "bic"), (36, 51, 85), "224.86622616524488", 40, 1063),
+    (("mean-shift", "ar1", "mdl"), (36, 49, 85), "223.87211846606067", 25, 664),
+    (("trend-shift", "ar1", "bic"), (85,), "249.24095808686593", 23, 551),
+    (("trend-shift", "ar1", "mdl"), (85,), "241.29949800891515", 18, 449),
+    (("trend-shift", "wn", "bic"), (40, 61, 83, 95), "279.236040421453", 40, 1022),
+    (("trend-shift", "wn", "mdl"), (40, 61, 83, 95), "272.2073811115888", 32, 924),
+    (("fixed-slope", "ar1", "bic"), (40, 85), "251.85890352209043", 21, 568),
+    (("fixed-slope", "ar1", "mdl"), (40, 85), "249.2439316876544", 21, 522),
+    (("variance-shift", "wn", "bic"), (41, 85), "370.78453228683065", 19, 494),
+    (("variance-shift", "wn", "mdl"), (42,), "364.238988792662", 21, 545),
+)
+
+
+@pytest.mark.parametrize("case", range(len(GOLDEN)), ids=lambda i: "-".join(GOLDEN[i][0]))
+def test_golden_ga_trajectory(case):
+    from cetseg.simulate import SimSpec, simulate_series
+
+    (mean, errors, penalty), taus, score, generations, evaluations = GOLDEN[case]
+    family = SEARCH_FAMILIES.index((mean, errors))
+    series = simulate_series(SimSpec(seed=11 + family, **GOLDEN_SPEC))
+    params = GAParams(population_size=40, max_generations=40, stagnation_limit=15,
+                      seed=3 + family)
+    report = ga_optimize(series, ModelSpec(mean, errors, penalty), params)
+    assert report.best.config.taus == taus
+    assert repr(report.best.score) == score
+    assert report.generations_run == generations
+    assert report.evaluations_count == evaluations
+    assert report.score_history[-1] == report.best.score
+    assert all(b <= a for a, b in zip(report.score_history, report.score_history[1:]))
