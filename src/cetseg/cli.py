@@ -111,8 +111,9 @@ def _add_search_args(p: argparse.ArgumentParser) -> None:
 def _add_model_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--model", required=True, choices=_MODEL_CHOICES)
     p.add_argument("--errors", choices=["wn", "ar1"], default=None,
-                   help="error model (default depends on --model; for "
-                        "long-memory, ar1 selects the p=1 variant)")
+                   help="error model (default depends on --model; joinpin "
+                        "and variance-shift take wn only; for long-memory, "
+                        "ar1 selects the p=1 variant)")
     p.add_argument("--penalty", choices=["bic", "mdl"], default="bic")
     p.add_argument("--sigma2", type=float, default=None,
                    help="fixed error variance for joinpin (default: "
@@ -209,10 +210,11 @@ def run_analysis(req: AnalysisRequest) -> dict[str, Any]:
     series = req.series
     params = req.ga_params
     model = req.model
+    # Rejects combinations without a scoring rule, e.g. joinpin with AR(1)
+    # errors or under MDL, before any search runs.
+    spec = ModelSpec(model, req.errors, req.penalty)
 
     if model == "long-memory":
-        if req.penalty != "bic":
-            raise DomainError("long-memory is scored under BIC only")
         fit = fit_arfima(series, p=1 if req.errors == "ar1" else 0)
         result = result_to_dict(fit, series, params.seed, None)
         result["_fitted"] = fitted_values_of(fit, series)
@@ -220,8 +222,6 @@ def run_analysis(req: AnalysisRequest) -> dict[str, Any]:
         return result
 
     if model == "joinpin":
-        if req.penalty != "bic":
-            raise DomainError("joinpin is scored under BIC only")
         sigma2 = req.sigma2
         if sigma2 is None:
             stage = ga_optimize(series, ModelSpec("trend-shift", "wn", "bic"),
@@ -239,15 +239,12 @@ def run_analysis(req: AnalysisRequest) -> dict[str, Any]:
         trend = stage.best
         trend_fitted = fitted_mean(trend.config, trend.means, trend.slopes, series.n)
         residual_series = TimeSeries(series.first_year, series.values - trend_fitted)
-        report = ga_optimize(residual_series,
-                             ModelSpec("variance-shift", "wn", req.penalty),
-                             params, max_m=req.max_m)
+        report = ga_optimize(residual_series, spec, params, max_m=req.max_m)
         result = result_to_dict(report.best, series, params.seed, params)
         result["_fitted"] = trend_fitted
         result["_fit"] = report.best
         return result
 
-    spec = ModelSpec(model, req.errors, req.penalty)
     report = ga_optimize(series, spec, params, max_m=req.max_m)
     result = result_to_dict(report.best, series, params.seed, params)
     result["_fitted"] = fitted_values_of(report.best, series)

@@ -271,9 +271,8 @@ class ModelSpec:
         object.__setattr__(self, "error_model", em)
         object.__setattr__(self, "penalty", pen)
         if em not in _ALLOWED_ERRORS[ms]:
-            raise DomainError(
-                f"no scoring rule for {ms.value} with {em.value} errors"
-            )
+            allowed = " or ".join(sorted(e.value for e in _ALLOWED_ERRORS[ms]))
+            raise DomainError(f"{ms.value} is scored with {allowed} errors only")
         if ms in _BIC_ONLY and pen is not Penalty.BIC:
             raise DomainError(f"{ms.value} is scored under BIC only")
 

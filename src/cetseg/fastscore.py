@@ -15,7 +15,11 @@ centred on ``(N + 1) / 2``; the time sums are then exact.  Per regime:
 * trend shift: ``RSS = Sxx - Sxt^2 / Stt`` (within-regime centred sums);
 * mean shift: ``RSS = Sxx``;
 * fixed slope: one pooled slope ``sum Sxt / sum Stt``;
-* variance shift: ``sum len_k log v_k`` of the raw values.
+* variance shift: ``sum len_k log v_k`` of the raw values;
+* joinpin (:func:`joinpin_rss`): hat functions on the nodes
+  ``1, tau_1, ..., tau_m, N`` give a tridiagonal Gram matrix ``G`` of
+  closed-form sums over each node interval, and ``r_j = sum phi_j x``
+  from the ``x`` and ``t x`` sums; then ``RSS = Sxx - r^T G^-1 r``.
 
 For AR(1) errors, with ``S`` the residual sum of squares, ``C`` the
 lag-1 cross product of the residuals and ``d_N`` the last residual,
@@ -33,9 +37,12 @@ mean-structure scores depend on the regimes only through their total
 ``S``, so ``S`` is checked: against the centred sum of squares of the
 whole series (``CANCELLATION``), against ``N max|x|^2``
 (``RESOLUTION``) and, for AR(1) errors, ``N sigma^2`` against ``S``.
-Variance shifts check each regime's sum of squares against the prefix
-sum it is taken from.  Exactly constant or exactly linear data land in
-these checks, so degenerate fits are always left to the reference.
+The joinpin ``RSS``, which :func:`cetseg.joinpin.fit_joinpin` takes from
+a least squares, is checked the same way, and so is each pivot of ``G``
+for positivity.  Variance shifts check each regime's sum of squares
+against the prefix sum it is taken from.  Exactly constant or exactly
+linear data land in these checks, so degenerate fits are always left to
+the reference.
 Scorers do not validate configurations.
 """
 
@@ -50,7 +57,7 @@ from .core import ErrorModel, MeanStructure, ModelSpec, TimeSeries
 from .estimation import LOG_2PI
 from .penalties import penalty_function
 
-__all__ = ["score_function"]
+__all__ = ["score_function", "joinpin_rss"]
 
 Scorer = Callable[[tuple[int, ...]], "float | None"]
 
@@ -212,3 +219,55 @@ class _MeanScorer:
             n_sigma2 = rss
         lengths = [b - a for a, b, _, _ in lines]
         return n * (math.log(n_sigma2 / n) + 1.0 + LOG_2PI) + self.penalty(taus, lengths)
+
+
+def joinpin_rss(values: np.ndarray) -> Scorer:
+    """Fast residual sum of squares of the continuous piecewise-linear fit:
+    knot tuple -> RSS or ``None``.
+
+    Hat functions on the nodes ``1, tau_1, ..., tau_m, N`` span the hinge
+    basis of :func:`cetseg.joinpin.fit_joinpin`, and their Gram matrix
+    ``G`` is tridiagonal.  Each interval ``(u, u + h]`` adds the sums of
+    ``(1 - s/h)^2``, ``s/h (1 - s/h)`` and ``(s/h)^2`` over ``s = 1..h``
+    to ``G``, and ``sum x`` minus / plus ``sum (t - u) x / h`` to the
+    right-hand side ``r``; the node ``t = 1`` adds 1 and ``x_1``.  With
+    ``G = L D L^T`` and ``L y = r``, ``RSS = sum x^2 - sum y_j^2 / d_j``.
+    """
+    n = values.size
+    x = values - values.mean()
+    centre = (n + 1) / 2.0
+    X = _cumsum(x)
+    TX = _cumsum((np.arange(1.0, n + 1.0) - centre) * x)
+    sxx = float(np.dot(x, x))
+    floor = max(CANCELLATION * sxx, RESOLUTION * n * float(np.max(np.abs(values))) ** 2)
+    # Per interval length h: the sums of (1 - s/h)^2, s/h (1 - s/h) and (s/h)^2.
+    spans = range(1, n)
+    left = [0.0] + [(h - 1) * (2 * h - 1) / (6.0 * h) for h in spans]
+    cross = [0.0] + [(h * h - 1) / (6.0 * h) for h in spans]
+    right = [0.0] + [(h + 1) * (2 * h + 1) / (6.0 * h) for h in spans]
+
+    def rss(taus: tuple[int, ...]) -> float | None:
+        d, y = 1.0, X[1]  # node t = 1, before its first interval
+        explained = 0.0
+        u = 1
+        for b in (*taus, n):
+            h = b - u
+            sx = X[b] - X[u]
+            to_b = (TX[b] - TX[u] - (u - centre) * sx) / h
+            # Node u is complete with this interval's left part: eliminate it.
+            d += left[h]
+            y += sx - to_b
+            if not d > 0.0:
+                return None
+            explained += y * y / d
+            # Node b starts from the right part, less its coupling to node u.
+            ratio = cross[h] / d
+            d = right[h] - ratio * cross[h]
+            y = to_b - ratio * y
+            u = b
+        if not d > 0.0:
+            return None
+        residual = sxx - explained - y * y / d
+        return residual if residual > floor else None
+
+    return rss

@@ -6,6 +6,12 @@ boundaries; continuity is imposed exactly by fitting in a hinge basis
 a single global least squares.  The error variance is supplied by the
 caller rather than re-estimated, and scoring is BIC-style with a
 configurable per-changepoint charge.
+
+The search scores knot configurations in O(m) with
+:func:`cetseg.fastscore.joinpin_rss`, falling back to the least squares
+where the fast value could be rounding-dominated; its winner is fitted
+once more with :func:`fit_joinpin`, which must agree with the search
+score within :data:`cetseg.search.REFIT_RTOL`.
 """
 
 from __future__ import annotations
@@ -22,7 +28,8 @@ from .core import (
     TimeSeries,
 )
 from .estimation import LOG_2PI
-from .search import GAParams, MIN_SEGMENT_LENGTH, ga_minimize
+from .fastscore import joinpin_rss
+from .search import GAParams, MIN_SEGMENT_LENGTH, check_refit, ga_minimize
 
 __all__ = ["JoinpinFit", "fit_joinpin", "joinpin_search", "default_knot_penalty"]
 
@@ -162,23 +169,35 @@ def joinpin_search(
 ) -> JoinpinFit:
     """GA search for the BIC-minimal knot configuration.
 
-    Runs :func:`cetseg.search.ga_minimize` on this model's score and fits
-    the winner once with :func:`fit_joinpin`.  A singular hinge design
-    (possible only transiently during search) is an unscoreable
-    configuration rather than an error.
+    Runs :func:`cetseg.search.ga_minimize` on this model's score, taken
+    from the O(m) :func:`cetseg.fastscore.joinpin_rss` or, where that
+    returns ``None``, from the hinge-basis least squares; a singular
+    hinge design scores +inf.  The winner is fitted once with
+    :func:`fit_joinpin`.
+
+    Raises
+    ------
+    cetseg.search.RefitMismatchError
+        If the winner's fit disagrees with its search score by more
+        than :data:`cetseg.search.REFIT_RTOL`.
     """
     if not sigma2_fixed > 0.0:
         raise DomainError("sigma2_fixed must be positive")
     n = series.n
     kp = default_knot_penalty(n) if knot_penalty is None else knot_penalty
+    fast_rss = joinpin_rss(series.values)
 
     def fitness(taus: tuple[int, ...]) -> float:
-        try:
-            _, _, rss = _least_squares(series.values, taus)
-        except DomainError:
-            # Repair guarantees segment lengths, so only singularity lands here.
-            return math.inf
+        rss = fast_rss(taus)
+        if rss is None:
+            try:
+                _, _, rss = _least_squares(series.values, taus)
+            except DomainError:
+                # Repair guarantees segment lengths, so only singularity lands here.
+                return math.inf
         return _scores(rss, n, len(taus), sigma2_fixed, kp)[1]
 
     run = ga_minimize(fitness, n, _MIN_SEG, params, max_m=max_m)
-    return fit_joinpin(series, ChangepointConfiguration(run.taus), sigma2_fixed, knot_penalty)
+    fit = fit_joinpin(series, ChangepointConfiguration(run.taus), sigma2_fixed, knot_penalty)
+    check_refit("joinpin", run.taus, run.score, fit.bic_score)
+    return fit

@@ -30,7 +30,7 @@ from .core import (
     Penalty,
 )
 
-__all__ = ["PenaltyContext", "penalty_function", "penalty_value", "penalized_score"]
+__all__ = ["PenaltyContext", "penalty_function", "penalty_value"]
 
 
 @dataclass(frozen=True)
@@ -110,7 +110,3 @@ def penalty_value(ctx: PenaltyContext) -> float:
     """
     config = ctx.config
     return penalty_function(ctx.model, ctx.n)(config.taus, config.regime_lengths(ctx.n))
-
-
-def penalized_score(neg2loglik: float, ctx: PenaltyContext) -> float:
-    return neg2loglik + penalty_value(ctx)

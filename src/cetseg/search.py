@@ -51,6 +51,7 @@ __all__ = [
     "SearchReport",
     "GARun",
     "RefitMismatchError",
+    "check_refit",
     "exhaustive_optimize",
     "ga_minimize",
     "ga_optimize",
@@ -231,11 +232,17 @@ def _refit(series: TimeSeries, model: ModelSpec, taus: tuple[int, ...], score: f
     if score == _INF:
         raise DegenerateFitError("every configuration encountered fits the data exactly")
     best = evaluate(series, model, ChangepointConfiguration(taus))
-    if not math.isclose(best.score, score, rel_tol=REFIT_RTOL, abs_tol=REFIT_RTOL):
-        raise RefitMismatchError(
-            f"{model.label()} at {taus}: search score {score!r}, reference refit {best.score!r}"
-        )
+    check_refit(model.label(), taus, score, best.score)
     return best
+
+
+def check_refit(label: str, taus: tuple[int, ...], score: float, refit: float) -> None:
+    """Raise :class:`RefitMismatchError` unless a search winner's reference
+    refit ``refit`` is within ``REFIT_RTOL`` of the ``score`` it was ranked by."""
+    if not math.isclose(refit, score, rel_tol=REFIT_RTOL, abs_tol=REFIT_RTOL):
+        raise RefitMismatchError(
+            f"{label} at {taus}: search score {score!r}, reference refit {refit!r}"
+        )
 
 
 def _enumerate_configs(n: int, min_len: int, max_m: int) -> Iterator[tuple[int, ...]]:

@@ -8,8 +8,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cetseg import ChangepointConfiguration, DegenerateFitError, ModelSpec, TimeSeries
-from cetseg.fastscore import score_function
-from cetseg.search import REFIT_RTOL, _model_fitness, _repair, evaluate, min_segment_length
+from cetseg.fastscore import joinpin_rss, score_function
+from cetseg.joinpin import _scores, default_knot_penalty, fit_joinpin, joinpin_search
+from cetseg.search import (
+    REFIT_RTOL,
+    GAParams,
+    RefitMismatchError,
+    _model_fitness,
+    _repair,
+    evaluate,
+    min_segment_length,
+)
 from cetseg.simulate import SimSpec, simulate_series
 
 SEARCH_FAMILIES = (
@@ -25,6 +34,21 @@ MODELS = [ModelSpec(mean, errors, penalty)
 
 def _close(a: float, b: float) -> bool:
     return math.isclose(a, b, rel_tol=REFIT_RTOL, abs_tol=REFIT_RTOL)
+
+
+def _cet_like(seed):
+    return simulate_series(SimSpec(
+        n=362, taus=(41, 80, 329), mus=(9.0, 8.5, 9.3, 10.2),
+        betas=(0.0, 0.0, 0.003, 0.02), phi=0.06, sigma=0.54, seed=seed))
+
+
+def _random_configs(series, min_len, count, seed):
+    """Feasible configurations with sparse to dense boundary draws."""
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        bits = rng.random(series.n - 1) < rng.choice([0.01, 0.05, 0.3])
+        [taus] = _repair(bits[None], series.n, min_len, series.n - 1)
+        yield taus
 
 
 def _reference(series, model, taus):
@@ -83,15 +107,9 @@ def test_fast_score_matches_reference(case):
 @pytest.mark.parametrize("model", MODELS, ids=ModelSpec.label)
 def test_well_conditioned_series_never_fall_back(model):
     # the fast path must carry the search, not the fallback
-    series = simulate_series(SimSpec(
-        n=362, taus=(41, 80, 329), mus=(9.0, 8.5, 9.3, 10.2),
-        betas=(0.0, 0.0, 0.003, 0.02), phi=0.06, sigma=0.54, seed=3))
+    series = _cet_like(3)
     fast = score_function(series, model)
-    rng = np.random.default_rng(4)
-    min_len = min_segment_length(model)
-    for _ in range(200):
-        bits = rng.random(series.n - 1) < rng.choice([0.01, 0.05, 0.3])
-        [taus] = _repair(bits[None], series.n, min_len, series.n - 1)
+    for taus in _random_configs(series, min_segment_length(model), 200, 4):
         score = fast(taus)
         assert score is not None, taus
         assert _close(score, _reference(series, model, taus))
@@ -114,3 +132,75 @@ def test_winner_whose_refit_disagrees_raises(monkeypatch):
     series = simulate_series(SimSpec(n=12, phi=0.4, seed=5))
     with pytest.raises(search.RefitMismatchError):
         search.exhaustive_optimize(series, ModelSpec("mean-shift", "ar1"))
+
+
+def _joinpin_score(series, taus, rss, sigma2):
+    return _scores(rss, series.n, len(taus), sigma2, default_knot_penalty(series.n))[1]
+
+
+@st.composite
+def joinpin_cases(draw):
+    """A series, a feasible knot configuration and a variance.
+
+    The series is an offset plus noise at a drawn scale; each regime is
+    then left as it is, made exactly linear with a jump at its start, or
+    made exactly linear continuing from the last value before it (a
+    continuous kink).  ``exact`` marks series that are continuous
+    piecewise linear throughout, with knots among the configuration's.
+    """
+    n = draw(st.integers(4, 40))
+    bits = np.array(draw(st.lists(st.booleans(), min_size=n - 1, max_size=n - 1)))
+    [taus] = _repair(bits[None], n, 2, n - 1)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    offset = draw(st.one_of(st.just(0.0), st.floats(-1e4, 1e4)))
+    scale = draw(st.sampled_from((1.0, 1e-3, 1e-6)))
+    x = offset + scale * rng.standard_normal(n)
+    t = np.arange(1.0, n + 1.0)
+    bounds = (0, *taus, n)
+    kinds = [draw(st.sampled_from(("noise", "linear", "kinked"))) for _ in bounds[1:]]
+    for (a, b), kind in zip(zip(bounds, bounds[1:]), kinds):
+        slope = float(draw(st.integers(-3, 3)))
+        level = offset + draw(st.integers(-50, 50))
+        if kind == "linear" or (kind == "kinked" and a == 0):
+            x[a:b] = level + slope * t[a:b]
+        elif kind == "kinked":
+            x[a:b] = x[a - 1] + slope * (t[a:b] - a)
+    exact = all(kind == "kinked" for kind in kinds)
+    return TimeSeries(1900, x), taus, scale * scale, exact
+
+
+@given(joinpin_cases())
+@settings(max_examples=600, deadline=None)
+def test_joinpin_fast_rss_matches_reference(case):
+    series, taus, sigma2, exact = case
+    rss = joinpin_rss(series.values)(taus)
+    if exact:
+        # an exact fit is never scored fast: the search leaves it to the least squares
+        assert rss is None
+        return
+    if rss is not None:
+        reference = fit_joinpin(series, ChangepointConfiguration(taus), sigma2).bic_score
+        assert _close(_joinpin_score(series, taus, rss, sigma2), reference), (rss, reference)
+
+
+def test_joinpin_cet_like_series_never_falls_back():
+    series = _cet_like(1)
+    fast = joinpin_rss(series.values)
+    for taus in _random_configs(series, 2, 100, 4):
+        rss = fast(taus)
+        assert rss is not None, taus
+        reference = fit_joinpin(series, ChangepointConfiguration(taus), 0.29).bic_score
+        assert _close(_joinpin_score(series, taus, rss, 0.29), reference)
+
+
+def test_joinpin_winner_whose_refit_disagrees_raises(monkeypatch):
+    from cetseg import joinpin
+
+    def perturbed(values):
+        fast = joinpin_rss(values)
+        return lambda taus: None if fast(taus) is None else fast(taus) + 1.0
+
+    monkeypatch.setattr(joinpin, "joinpin_rss", perturbed)
+    series = simulate_series(SimSpec(n=30, phi=0.4, seed=5))
+    with pytest.raises(RefitMismatchError):
+        joinpin_search(series, 1.0, params=GAParams(population_size=20, max_generations=5))

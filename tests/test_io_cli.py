@@ -337,6 +337,17 @@ class TestCliFit:
         assert main(_fit_args(csv_file, "--model", "joinpin",
                               "--penalty", "mdl")) == 3
 
+    @pytest.mark.parametrize("command", ["fit", "residuals"])
+    @pytest.mark.parametrize("model", ["joinpin", "variance-shift"])
+    def test_white_noise_only_families_reject_ar1(self, csv_file, capsys, model, command):
+        # these used to fit white noise silently and exit 0
+        argv = ["--input", csv_file, "--format", "csv", *FAST,
+                "--model", model, "--errors", "ar1"]
+        assert main([command, *argv]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"{model} is scored with wn errors only" in captured.err
+
     def test_missing_input_exits_2(self, tmp_path, capsys):
         assert main(["fit", "--input", str(tmp_path / "nope.csv"),
                      "--format", "csv", "--model", "mean-shift"]) == 2

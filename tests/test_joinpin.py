@@ -195,3 +195,19 @@ def test_golden_search_answer(seed, taus, score):
     fit = joinpin_search(series, 0.36, params=params)
     assert fit.config.taus == taus
     assert repr(fit.bic_score) == score
+
+
+def test_golden_search_answer_at_the_paper_length():
+    # pinned before the search scored configurations with the fast RSS
+    from cetseg import ModelSpec
+    from cetseg.search import GAParams, ga_optimize
+    from cetseg.simulate import SimSpec, simulate_series
+
+    series = simulate_series(SimSpec(
+        n=362, taus=(41, 80, 329), mus=(9.0, 8.5, 9.3, 10.2),
+        betas=(0.0, 0.0, 0.003, 0.02), phi=0.06, sigma=0.54, seed=1, first_year=1659))
+    params = GAParams(max_generations=40)
+    stage = ga_optimize(series, ModelSpec("trend-shift", "wn", "bic"), params)
+    fit = joinpin_search(series, stage.best.sigma2_hat, params=params)
+    assert fit.config.taus == (78, 80, 328, 330)
+    assert repr(fit.bic_score) == "623.7563344906548"

@@ -3,7 +3,7 @@ import math
 import pytest
 
 from cetseg import ChangepointConfiguration, DomainError, ModelSpec
-from cetseg.penalties import PenaltyContext, penalized_score, penalty_value
+from cetseg.penalties import PenaltyContext, penalty_value
 
 N = 362
 CFG3 = ChangepointConfiguration((41, 80, 329))
@@ -99,12 +99,6 @@ class TestDispatch:
             penalty_value(
                 PenaltyContext(ModelSpec("long-memory", "ar1", "bic"), N, CFG3)
             )
-
-    def test_penalized_score_adds(self):
-        ctx = PenaltyContext(ModelSpec("mean-shift", "ar1", "bic"), N, CFG3)
-        assert penalized_score(100.0, ctx) == pytest.approx(
-            100.0 + penalty_value(ctx)
-        )
 
     def test_context_validates(self):
         with pytest.raises(DomainError):
