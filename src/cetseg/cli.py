@@ -352,7 +352,10 @@ def _parse_floats(text: str, flag: str) -> tuple[float, ...]:
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
-    taus = tuple(int(v) for v in _parse_floats(args.taus, "--taus"))
+    taus = _parse_floats(args.taus, "--taus")
+    if not all(tau.is_integer() for tau in taus):
+        raise DataError(f"--taus expects integers, got {args.taus!r}")
+    taus = tuple(int(tau) for tau in taus)
     spec = SimSpec(
         n=args.n,
         taus=taus,

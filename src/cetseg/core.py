@@ -19,6 +19,8 @@ import math
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from enum import Enum
+from itertools import chain
+from typing import Sequence
 
 import numpy as np
 
@@ -31,6 +33,7 @@ __all__ = [
     "TimeSeries",
     "ChangepointConfiguration",
     "EMPTY_CONFIGURATION",
+    "Regimes",
     "regime_index",
     "MeanStructure",
     "ErrorModel",
@@ -202,6 +205,51 @@ class ChangepointConfiguration:
 
 
 EMPTY_CONFIGURATION = ChangepointConfiguration()
+
+
+class Regimes:
+    """The regimes of a batch of boundary tuples on a series of length ``n``,
+    as flat arrays.
+
+    Arrays with one entry per regime run over the batch row by row, each
+    row's regimes in time order: regime ``col`` of row ``row`` covers
+    indices ``starts + 1 .. ends``, ``lengths`` observations.  ``m``
+    counts each row's changepoints, ``first`` and ``last`` index its
+    first and last regime, and ``width`` is the most regimes in a row.
+    Boundary tuples are not validated.
+    """
+
+    def __init__(self, configs: Sequence[tuple[int, ...]], n: int):
+        size = len(configs)
+        self.m = np.fromiter(map(len, configs), np.intp, size)
+        counts = self.m + 1
+        self.last = np.cumsum(counts) - 1
+        self.first = self.last - self.m
+        self.row = np.repeat(np.arange(size), counts)
+        self.col = np.arange(self.row.size) - self.first[self.row]
+        self.width = int(counts.max())
+        # Cell of each regime in a row-major (rows x width) table.
+        self._cell = self.row * self.width + self.col
+        self.ends = np.full(self.row.size, n)
+        closed = np.ones(self.row.size, bool)
+        closed[self.last] = False
+        self.ends[closed] = np.fromiter(chain.from_iterable(configs), np.intp,
+                                        self.row.size - size)
+        self.starts = np.empty_like(self.ends)
+        self.starts[1:] = self.ends[:-1]
+        self.starts[self.first] = 0
+        self.lengths = self.ends - self.starts
+
+    def row_sums(self, *terms: np.ndarray) -> np.ndarray:
+        """Per-row sums of per-regime ``terms``, added one at a time in
+        regime order and, within a regime, in the order given: the same
+        floating-point result as a running total in a loop."""
+        k = len(terms)
+        table = np.zeros((self.m.size, self.width * k))
+        cells = table.reshape(-1)
+        for i, term in enumerate(terms):
+            cells[k * self._cell + i] = term
+        return np.cumsum(table, axis=1)[:, -1]
 
 
 def regime_index(t: int, config: ChangepointConfiguration, n: int) -> int:

@@ -30,9 +30,14 @@ array.  ``C`` sums, per regime, adjacent-pair sums of ``x_t x_{t+1}``,
 ``x_t + x_{t+1}`` and ``x_t (t+1) + x_{t+1} t``; the pair straddling
 each boundary is computed on its own.
 
-A scorer returns the score :func:`cetseg.search.evaluate` gives the same
-configuration, up to rounding, or ``None`` where rounding could show.
-The caller then scores that configuration with the reference fit.  The
+A scorer takes a batch of boundary tuples and returns one value per
+tuple: the score :func:`cetseg.search.evaluate` gives that
+configuration, up to rounding, or NaN where rounding could show.  The
+caller then scores that configuration with the reference fit.  The
+batch is laid out as flat per-regime arrays (:class:`cetseg.core.Regimes`)
+and each configuration's sums are running totals in regime order, with
+logs of non-integers taken by ``math.log``, so a score is bit for bit
+the one the same configuration gets alone or in any other batch.  The
 mean-structure scores depend on the regimes only through their total
 ``S``, so ``S`` is checked: against the centred sum of squares of the
 whole series (``CANCELLATION``), against ``N max|x|^2``
@@ -49,17 +54,19 @@ Scorers do not validate configurations.
 from __future__ import annotations
 
 import math
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
-from .core import ErrorModel, MeanStructure, ModelSpec, TimeSeries
+from .core import ErrorModel, MeanStructure, ModelSpec, Regimes, TimeSeries
 from .estimation import LOG_2PI
 from .penalties import penalty_function
 
 __all__ = ["score_function", "joinpin_rss"]
 
-Scorer = Callable[[tuple[int, ...]], "float | None"]
+# A batch of boundary tuples -> one value each, NaN where the reference
+# fit must decide.
+Scorer = Callable[[Sequence[tuple[int, ...]]], np.ndarray]
 
 # A residual sum of squares below this fraction of the sum of squares it
 # is taken from is left to the reference fit.  The fast score's relative
@@ -71,16 +78,25 @@ CANCELLATION = 1e-4
 RESOLUTION = 1e-10
 
 
-def _cumsum(v: np.ndarray) -> list[float]:
-    out = np.zeros(v.size + 1)
-    np.cumsum(v, out=out[1:])
-    return out.tolist()
+def _cumsum(v: np.ndarray) -> np.ndarray:
+    """Prefix sums along the last axis, from a leading 0."""
+    out = np.zeros((*v.shape[:-1], v.shape[-1] + 1))
+    np.cumsum(v, axis=-1, out=out[..., 1:])
+    return out
+
+
+def _log(values: np.ndarray, valid: np.ndarray) -> np.ndarray:
+    """``math.log`` of the ``valid`` entries (NaN elsewhere), so that scores
+    do not depend on how numpy's vector log rounds."""
+    out = np.full(values.size, np.nan)
+    out[valid] = np.fromiter(map(math.log, values[valid].tolist()), float)
+    return out
 
 
 def score_function(series: TimeSeries, model: ModelSpec) -> Scorer:
-    """Fast scorer of ``model`` on ``series``: boundary tuple -> score or ``None``."""
-    n = series.n
-    penalty = penalty_function(model, n)
+    """Fast scorer of ``model`` on ``series``: a batch of boundary tuples ->
+    their scores, NaN where the reference fit must score."""
+    penalty = penalty_function(model, series.n)
     if model.mean_structure is MeanStructure.VARIANCE_SHIFT:
         return _variance_scorer(series.values, penalty)
     return _MeanScorer(series.values, model, penalty).score
@@ -90,21 +106,15 @@ def _variance_scorer(values: np.ndarray, penalty) -> Scorer:
     n = values.size
     squares = _cumsum(values * values)
     base = n * (1.0 + LOG_2PI)
-    log = math.log
 
-    def score(taus: tuple[int, ...]) -> float | None:
-        n2ll = base
-        lengths = []
-        a = 0
-        for b in (*taus, n):
-            k = b - a
-            ss = squares[b] - squares[a]
-            if not ss > CANCELLATION * squares[b]:
-                return None
-            n2ll += k * log(ss / k)
-            lengths.append(k)
-            a = b
-        return n2ll + penalty(taus, lengths)
+    def score(configs: Sequence[tuple[int, ...]]) -> np.ndarray:
+        regimes = Regimes(configs, n)
+        a, b, k = regimes.starts, regimes.ends, regimes.lengths
+        ss = squares[b] - squares[a]
+        kept = ss > CANCELLATION * squares[b]
+        terms = k * _log(ss / k, kept)
+        terms[regimes.first] += base
+        return regimes.row_sums(terms) + penalty(regimes)
 
     return score
 
@@ -118,112 +128,96 @@ class _MeanScorer:
         t = np.arange(1.0, n + 1.0) - (n + 1) / 2.0
         self.n = n
         self.penalty = penalty
+        # Plain functions, not bound methods: a bound method kept on the
+        # instance is a reference cycle, and would hold these tables until
+        # the cyclic garbage collector runs.
         self.lines = {
-            MeanStructure.MEAN_SHIFT: self._mean_lines,
-            MeanStructure.TREND_SHIFT: self._trend_lines,
-            MeanStructure.FIXED_SLOPE: self._fixed_slope_lines,
+            MeanStructure.MEAN_SHIFT: _MeanScorer._mean_lines,
+            MeanStructure.TREND_SHIFT: _MeanScorer._trend_lines,
+            MeanStructure.FIXED_SLOPE: _MeanScorer._fixed_slope_lines,
         }[model.mean_structure]
         self.ar1 = model.error_model is ErrorModel.AR1
-        self.X, self.XX = _cumsum(x), _cumsum(x * x)
-        self.T, self.TX = _cumsum(t), _cumsum(t * x)
+        # Prefix sums of x, x^2, t and t x, one row each.
+        self.sums = _cumsum(np.stack((x, x * x, t, t * x)))
         # Within-regime centred sum of squares of t over k consecutive indices.
-        self.STT = [k * (k * k - 1) / 12.0 for k in range(n + 1)]
-        self.floor = max(CANCELLATION * self.XX[n],
+        k = np.arange(n + 1.0)
+        self.STT = k * (k * k - 1) / 12.0
+        self.floor = max(CANCELLATION * float(self.sums[1, n]),
                          RESOLUTION * n * float(np.max(np.abs(values))) ** 2)
         if self.ar1:
-            self.x, self.t = x.tolist(), t.tolist()
+            self.xt = np.stack((x, t))
             x0, x1, t0, t1 = x[:-1], x[1:], t[:-1], t[1:]
-            self.PXX, self.PX = _cumsum(x0 * x1), _cumsum(x0 + x1)
-            self.PTX = _cumsum(x0 * t1 + x1 * t0)
-            self.PT, self.PTT = _cumsum(t0 + t1), _cumsum(t0 * t1)
+            # Adjacent-pair sums of x x', x + x', x t' + x' t, t + t' and t t'.
+            self.pairs = _cumsum(np.stack((x0 * x1, x0 + x1, x0 * t1 + x1 * t0,
+                                           t0 + t1, t0 * t1)))
 
-    # Each ``*_lines`` returns the residual sum of squares and, per regime,
-    # (first index, end index, level, slope) of its line p + q t in the
-    # centred coordinates; slopes are 0.0 for mean shifts.
+    # Each ``*_lines`` returns, per configuration, the residual sum of
+    # squares and, per regime, the level and slope of its line p + q t in
+    # the centred coordinates; slopes are 0.0 for mean shifts.
 
-    def _mean_lines(self, bounds):
-        X, XX = self.X, self.XX
-        rss = 0.0
-        lines = []
-        a = 0
-        for b in bounds:
-            k = b - a
-            sx = X[b] - X[a]
-            p = sx / k
-            rss += XX[b] - XX[a] - sx * p
-            lines.append((a, b, p, 0.0))
-            a = b
-        return rss, lines
+    def _regime_sums(self, regimes: Regimes) -> np.ndarray:
+        """Per regime: the sums of x, x^2, t and t x."""
+        return self.sums[:, regimes.ends] - self.sums[:, regimes.starts]
 
-    def _trend_lines(self, bounds):
-        X, XX, T, TX, STT = self.X, self.XX, self.T, self.TX, self.STT
-        rss = 0.0
-        lines = []
-        a = 0
-        for b in bounds:
-            k = b - a
-            sx = X[b] - X[a]
-            st = T[b] - T[a]
-            stx = TX[b] - TX[a] - st * sx / k
-            q = stx / STT[k]
-            rss += XX[b] - XX[a] - sx * sx / k - stx * q
-            lines.append((a, b, (sx - q * st) / k, q))
-            a = b
-        return rss, lines
+    def _mean_lines(self, regimes: Regimes):
+        sx, sxx, _, _ = self._regime_sums(regimes)
+        p = sx / regimes.lengths
+        return regimes.row_sums(sxx - sx * p), p, 0.0
 
-    def _fixed_slope_lines(self, bounds):
-        X, XX, T, TX, STT = self.X, self.XX, self.T, self.TX, self.STT
-        level_rss = pooled_stx = pooled_stt = 0.0
-        parts = []
-        a = 0
-        for b in bounds:
-            k = b - a
-            sx = X[b] - X[a]
-            st = T[b] - T[a]
-            level_rss += XX[b] - XX[a] - sx * sx / k
-            pooled_stx += TX[b] - TX[a] - st * sx / k
-            pooled_stt += STT[k]
-            parts.append((a, b, k, sx, st))
-            a = b
+    def _trend_lines(self, regimes: Regimes):
+        k = regimes.lengths
+        sx, sxx, st, stx = self._regime_sums(regimes)
+        stx = stx - st * sx / k
+        q = stx / self.STT[k]
+        rss = regimes.row_sums(sxx - sx * sx / k - stx * q)
+        return rss, (sx - q * st) / k, q
+
+    def _fixed_slope_lines(self, regimes: Regimes):
+        k = regimes.lengths
+        sx, sxx, st, stx = self._regime_sums(regimes)
+        level_rss = regimes.row_sums(sxx - sx * sx / k)
+        pooled_stx = regimes.row_sums(stx - st * sx / k)
+        pooled_stt = regimes.row_sums(self.STT[k])
         q = pooled_stx / pooled_stt
-        lines = [(a, b, (sx - q * st) / k, q) for a, b, k, sx, st in parts]
-        return level_rss - q * pooled_stx, lines
+        slopes = q[regimes.row]
+        return level_rss - q * pooled_stx, (sx - slopes * st) / k, slopes
 
-    def _lag1(self, lines) -> tuple[float, float]:
-        """Lag-1 cross product of the residuals, and the last residual."""
-        x, t = self.x, self.t
-        PXX, PX, PTX, PT, PTT = self.PXX, self.PX, self.PTX, self.PT, self.PTT
-        cross = 0.0
-        last = None
-        for a, b, p, q in lines:
-            e = b - 1  # pairs (i, i + 1) with a <= i < e lie inside the regime
-            cross += (PXX[e] - PXX[a] - p * (PX[e] - PX[a]) - q * (PTX[e] - PTX[a])
-                      + (e - a) * p * p + p * q * (PT[e] - PT[a]) + q * q * (PTT[e] - PTT[a]))
-            if last is not None:
-                cross += last * (x[a] - p - q * t[a])
-            last = x[e] - p - q * t[e]
-        return cross, last
+    def _lag1(self, regimes: Regimes, p, q) -> tuple[np.ndarray, np.ndarray]:
+        """Per configuration, the lag-1 cross product of the residuals and
+        the last residual."""
+        a = regimes.starts
+        e = regimes.ends - 1  # pairs (i, i + 1) with a <= i < e lie inside the regime
+        pxx, px, ptx, pt, ptt = self.pairs[:, e] - self.pairs[:, a]
+        inside = pxx - p * px - q * ptx + (e - a) * p * p + p * q * pt + q * q * ptt
+        # The pair straddling each boundary: the residual closing the previous
+        # regime times the one opening this regime.
+        (x_a, x_e), (t_a, t_e) = self.xt[:, (a, e)]
+        closing = x_e - p - q * t_e
+        straddling = np.zeros_like(inside)
+        straddling[1:] = closing[:-1] * (x_a - p - q * t_a)[1:]
+        straddling[regimes.first] = 0.0
+        return regimes.row_sums(inside, straddling), closing[regimes.last]
 
-    def score(self, taus: tuple[int, ...]) -> float | None:
+    def score(self, configs: Sequence[tuple[int, ...]]) -> np.ndarray:
         n = self.n
-        rss, lines = self.lines((*taus, n))
-        if not rss > self.floor:
-            return None
+        regimes = Regimes(configs, n)
+        rss, p, q = self.lines(self, regimes)
+        kept = rss > self.floor
         if self.ar1:
-            cross, last = self._lag1(lines)
-            phi = cross / rss
-            n_sigma2 = rss - 2.0 * phi * cross + phi * phi * (rss - last * last)
-            if not n_sigma2 > CANCELLATION * rss:
-                return None
+            with np.errstate(divide="ignore", invalid="ignore"):
+                cross, last = self._lag1(regimes, p, q)
+                phi = cross / rss
+                n_sigma2 = rss - 2.0 * phi * cross + phi * phi * (rss - last * last)
+                kept &= n_sigma2 > CANCELLATION * rss
         else:
             n_sigma2 = rss
-        lengths = [b - a for a, b, _, _ in lines]
-        return n * (math.log(n_sigma2 / n) + 1.0 + LOG_2PI) + self.penalty(taus, lengths)
+        return n * (_log(n_sigma2 / n, kept) + 1.0 + LOG_2PI) + self.penalty(regimes)
 
 
 def joinpin_rss(values: np.ndarray) -> Scorer:
     """Fast residual sum of squares of the continuous piecewise-linear fit:
-    knot tuple -> RSS or ``None``.
+    a batch of knot tuples -> their RSS, NaN where the least squares must
+    decide.
 
     Hat functions on the nodes ``1, tau_1, ..., tau_m, N`` span the hinge
     basis of :func:`cetseg.joinpin.fit_joinpin`, and their Gram matrix
@@ -232,6 +226,8 @@ def joinpin_rss(values: np.ndarray) -> Scorer:
     to ``G``, and ``sum x`` minus / plus ``sum (t - u) x / h`` to the
     right-hand side ``r``; the node ``t = 1`` adds 1 and ``x_1``.  With
     ``G = L D L^T`` and ``L y = r``, ``RSS = sum x^2 - sum y_j^2 / d_j``.
+    The elimination runs over the intervals of all configurations at
+    once, one interval position per step.
     """
     n = values.size
     x = values - values.mean()
@@ -241,33 +237,50 @@ def joinpin_rss(values: np.ndarray) -> Scorer:
     sxx = float(np.dot(x, x))
     floor = max(CANCELLATION * sxx, RESOLUTION * n * float(np.max(np.abs(values))) ** 2)
     # Per interval length h: the sums of (1 - s/h)^2, s/h (1 - s/h) and (s/h)^2.
-    spans = range(1, n)
-    left = [0.0] + [(h - 1) * (2 * h - 1) / (6.0 * h) for h in spans]
-    cross = [0.0] + [(h * h - 1) / (6.0 * h) for h in spans]
-    right = [0.0] + [(h + 1) * (2 * h + 1) / (6.0 * h) for h in spans]
+    h = np.arange(1.0, n)
+    left = np.concatenate(([0.0], (h - 1) * (2 * h - 1) / (6.0 * h)))
+    cross = np.concatenate(([0.0], (h * h - 1) / (6.0 * h)))
+    right = np.concatenate(([0.0], (h + 1) * (2 * h + 1) / (6.0 * h)))
 
-    def rss(taus: tuple[int, ...]) -> float | None:
-        d, y = 1.0, X[1]  # node t = 1, before its first interval
-        explained = 0.0
-        u = 1
-        for b in (*taus, n):
-            h = b - u
-            sx = X[b] - X[u]
-            to_b = (TX[b] - TX[u] - (u - centre) * sx) / h
-            # Node u is complete with this interval's left part: eliminate it.
-            d += left[h]
-            y += sx - to_b
-            if not d > 0.0:
-                return None
-            explained += y * y / d
-            # Node b starts from the right part, less its coupling to node u.
-            ratio = cross[h] / d
-            d = right[h] - ratio * cross[h]
-            y = to_b - ratio * y
-            u = b
-        if not d > 0.0:
-            return None
-        residual = sxx - explained - y * y / d
-        return residual if residual > floor else None
+    def rss(configs: Sequence[tuple[int, ...]]) -> np.ndarray:
+        regimes = Regimes(configs, n)
+        b = regimes.ends
+        u = np.maximum(regimes.starts, 1)  # the first interval starts at node t = 1
+        span = b - u
+        sx = X[b] - X[u]
+        to_b = (TX[b] - TX[u] - (u - centre) * sx) / span
+        # Rows in order of falling interval count, so that the rows still
+        # eliminating at each step are a leading slice.
+        order = np.argsort(-regimes.m, kind="stable")
+        active = np.bincount(regimes.m, minlength=regimes.width)[::-1].cumsum()[::-1]
+        slot = np.empty_like(order)
+        slot[order] = np.arange(order.size)
+        steps = np.zeros((5, regimes.width, order.size))
+        at = (regimes.col, slot[regimes.row])
+        for table, term in zip(steps, (left[span], sx - to_b, cross[span], right[span], to_b)):
+            table[at] = term
+        d = np.ones(order.size)
+        y = np.full(order.size, X[1])
+        explained = np.zeros(order.size)
+        kept = np.ones(order.size, bool)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            for j, rows in enumerate(active.tolist()):
+                left_j, gain_j, cross_j, right_j, to_b_j = steps[:, j, :rows]
+                dj, yj = d[:rows], y[:rows]
+                # Node u is complete with this interval's left part: eliminate it.
+                dj += left_j
+                yj += gain_j
+                kept[:rows] &= dj > 0.0
+                explained[:rows] += yj * yj / dj
+                # Node b starts from the right part, less its coupling to node u.
+                ratio = cross_j / dj
+                dj[:] = right_j - ratio * cross_j
+                yj[:] = to_b_j - ratio * yj
+            kept &= d > 0.0
+            residual = sxx - explained - y * y / d
+        kept &= residual > floor
+        out = np.full(order.size, np.nan)
+        out[order] = np.where(kept, residual, np.nan)
+        return out
 
     return rss

@@ -7,11 +7,12 @@ a single global least squares.  The error variance is supplied by the
 caller rather than re-estimated, and scoring is BIC-style with a
 configurable per-changepoint charge.
 
-The search scores knot configurations in O(m) with
-:func:`cetseg.fastscore.joinpin_rss`, falling back to the least squares
-where the fast value could be rounding-dominated; its winner is fitted
-once more with :func:`fit_joinpin`, which must agree with the search
-score within :data:`cetseg.search.REFIT_RTOL`.
+The search scores each generation's new knot configurations as one
+batch, in O(m) each, with :func:`cetseg.fastscore.joinpin_rss`, falling
+back to the least squares for each configuration whose fast value could
+be rounding-dominated; its winner is fitted once more with
+:func:`fit_joinpin`, which must agree with the search score within
+:data:`cetseg.search.REFIT_RTOL`.
 """
 
 from __future__ import annotations
@@ -106,7 +107,8 @@ def _least_squares(values: np.ndarray, taus: tuple[int, ...]):
 
 
 def _scores(rss: float, n: int, m: int, sigma2: float, knot_penalty: float) -> tuple[float, float]:
-    """-2 log likelihood at the fixed variance, and the BIC-style score."""
+    """-2 log likelihood at the fixed variance, and the BIC-style score
+    (element-wise for arrays of ``rss`` and ``m``)."""
     n2ll = rss / sigma2 + n * math.log(sigma2) + n * LOG_2PI
     return n2ll, n2ll + knot_penalty * m
 
@@ -170,10 +172,10 @@ def joinpin_search(
     """GA search for the BIC-minimal knot configuration.
 
     Runs :func:`cetseg.search.ga_minimize` on this model's score, taken
-    from the O(m) :func:`cetseg.fastscore.joinpin_rss` or, where that
-    returns ``None``, from the hinge-basis least squares; a singular
-    hinge design scores +inf.  The winner is fitted once with
-    :func:`fit_joinpin`.
+    for a batch of knot tuples from the O(m)
+    :func:`cetseg.fastscore.joinpin_rss` or, where that returns NaN,
+    from the hinge-basis least squares; a singular hinge design scores
+    +inf.  The winner is fitted once with :func:`fit_joinpin`.
 
     Raises
     ------
@@ -187,15 +189,16 @@ def joinpin_search(
     kp = default_knot_penalty(n) if knot_penalty is None else knot_penalty
     fast_rss = joinpin_rss(series.values)
 
-    def fitness(taus: tuple[int, ...]) -> float:
-        rss = fast_rss(taus)
-        if rss is None:
+    def fitness(configs: list[tuple[int, ...]]) -> list[float]:
+        rss = fast_rss(configs)
+        for i in np.flatnonzero(np.isnan(rss)).tolist():
             try:
-                _, _, rss = _least_squares(series.values, taus)
+                _, _, rss[i] = _least_squares(series.values, configs[i])
             except DomainError:
                 # Repair guarantees segment lengths, so only singularity lands here.
-                return math.inf
-        return _scores(rss, n, len(taus), sigma2_fixed, kp)[1]
+                rss[i] = math.inf
+        m = np.fromiter(map(len, configs), np.intp, len(configs))
+        return _scores(rss, n, m, sigma2_fixed, kp)[1].tolist()
 
     run = ga_minimize(fitness, n, _MIN_SEG, params, max_m=max_m)
     fit = fit_joinpin(series, ChangepointConfiguration(run.taus), sigma2_fixed, knot_penalty)

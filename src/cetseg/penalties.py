@@ -19,7 +19,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable
+
+import numpy as np
 
 from .core import (
     ChangepointConfiguration,
@@ -28,6 +30,7 @@ from .core import (
     MeanStructure,
     ModelSpec,
     Penalty,
+    Regimes,
 )
 
 __all__ = ["PenaltyContext", "penalty_function", "penalty_value"]
@@ -66,9 +69,10 @@ _MDL_COEFFS = {
 }
 
 
-def penalty_function(model: ModelSpec, n: int) -> Callable[[tuple[int, ...], Sequence[int]], float]:
+def penalty_function(model: ModelSpec, n: int) -> Callable[[Regimes], np.ndarray]:
     """The penalty of ``model`` on a series of length ``n``, as a function of
-    a configuration's boundaries and regime lengths.
+    a batch of configurations' :class:`~cetseg.core.Regimes`: one value
+    per configuration.
 
     Raises
     ------
@@ -77,24 +81,26 @@ def penalty_function(model: ModelSpec, n: int) -> Callable[[tuple[int, ...], Seq
         long-memory carry their own scoring rules).
     """
     key = (model.mean_structure, model.error_model)
-    log = math.log
-    log_n = log(n)
+    log_n = math.log(n)
     if model.penalty is Penalty.BIC:
         if key not in _BIC_K:
             raise DomainError(f"no BIC table entry for {model.label()}")
         k_of_m = _BIC_K[key]
-        return lambda taus, lengths: k_of_m(len(taus)) * log_n
+        return lambda regimes: k_of_m(regimes.m) * log_n
     if key not in _MDL_COEFFS:
         raise DomainError(f"no MDL table entry for {model.label()}")
     logn_coeff, seglen_coeff = _MDL_COEFFS[key]
+    # log k for k = 1..n; index 0 only ever stands for an empty configuration.
+    log_of = np.array([0.0, *map(math.log, range(1, n + 1))])
 
-    def mdl(taus: tuple[int, ...], lengths: Sequence[int]) -> float:
-        m = len(taus)
-        if m == 0:
-            return 0.0
-        value = logn_coeff * log_n + 2.0 * log(m)
-        value += seglen_coeff * sum(map(log, lengths))
-        value += 2.0 * sum(map(log, taus[1:]))
+    def mdl(regimes: Regimes) -> np.ndarray:
+        m = regimes.m
+        value = logn_coeff * log_n + 2.0 * log_of[m]
+        value += seglen_coeff * regimes.row_sums(log_of[regimes.lengths])
+        # every boundary but the first: the starts of regimes 2, 3, ...
+        later = np.where(regimes.col >= 2, log_of[regimes.starts], 0.0)
+        value += 2.0 * regimes.row_sums(later)
+        value[m == 0] = 0.0
         return value
 
     return mdl
@@ -108,5 +114,5 @@ def penalty_value(ctx: PenaltyContext) -> float:
     DomainError
         For model families scored outside these tables.
     """
-    config = ctx.config
-    return penalty_function(ctx.model, ctx.n)(config.taus, config.regime_lengths(ctx.n))
+    [value] = penalty_function(ctx.model, ctx.n)(Regimes([ctx.config.taus], ctx.n))
+    return float(value)

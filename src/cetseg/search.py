@@ -1,10 +1,13 @@
 """Changepoint search: exact enumeration for tiny series, GA otherwise.
 
-Searches score configurations with the O(m) fast fits of
+Searches score configurations in batches with the O(m) fast fits of
 :mod:`cetseg.fastscore`, built once per search from prefix sums of the
-series.  A configuration the fast fit cannot score safely is scored
-with the reference :func:`evaluate` instead.  The cache holds one sort
-key per configuration, not a fit.  The winner of each search is fitted
+series: the GA one batch per generation (the configurations it has not
+scored yet), exhaustive enumeration fixed-size chunks.  A configuration
+the fast fit cannot score safely is scored with the reference
+:func:`evaluate` instead.  A configuration's score does not depend on
+the batch it is scored in.  The cache holds one sort key per
+configuration, not a fit.  The winner of each search is fitted
 once more with :func:`evaluate`; that refit is the reported result, and
 it must agree with the score the search ranked it by.
 
@@ -23,6 +26,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import chain, islice
 from typing import Callable, Iterator, Sequence
 
 import numpy as np
@@ -71,6 +75,9 @@ MIN_SEGMENT_LENGTH = {
 # Enumeration over all subsets of boundary positions is exponential in
 # N; keep the exact path as a small-N oracle only.
 EXHAUSTIVE_MAX_N = 25
+
+# Configurations scored per fitness call by exhaustive enumeration.
+_CHUNK = 256
 
 # Largest relative gap allowed between the score a search ranked its
 # winner by and the winner's reference refit.
@@ -204,25 +211,29 @@ class GARun:
 
 _INF = math.inf
 
-Fitness = Callable[[tuple[int, ...]], float]
+# A batch of distinct boundary tuples -> one score each.
+Fitness = Callable[[list[tuple[int, ...]]], Sequence[float]]
 
 
 def _model_fitness(series: TimeSeries, model: ModelSpec) -> Fitness:
-    """Score of ``model`` at a feasible boundary tuple, +inf if degenerate.
+    """Scores of ``model`` at a batch of feasible boundary tuples, +inf
+    where a fit is degenerate.
 
-    Fast O(m) scores, with the reference fit where the fast one cannot
-    be trusted.
+    The batch is scored by the O(m) fast fits; each configuration they
+    leave undecided (NaN) is scored by the reference fit on its own.
+    Every score is the one that configuration gets alone, whatever else
+    is in the batch.
     """
     fast = score_function(series, model)
 
-    def fitness(taus: tuple[int, ...]) -> float:
-        score = fast(taus)
-        if score is not None:
-            return score
-        try:
-            return evaluate(series, model, ChangepointConfiguration(taus)).score
-        except DegenerateFitError:
-            return _INF
+    def fitness(configs: list[tuple[int, ...]]) -> list[float]:
+        scores = fast(configs)
+        for i in np.flatnonzero(np.isnan(scores)).tolist():
+            try:
+                scores[i] = evaluate(series, model, ChangepointConfiguration(configs[i])).score
+            except DegenerateFitError:
+                scores[i] = _INF
+        return scores.tolist()
 
     return fitness
 
@@ -281,9 +292,10 @@ def exhaustive_optimize(
     fitness = _model_fitness(series, model)
     best_key = None
     evaluations = 0
-    for taus in _enumerate_configs(n, min_len, max_m):
-        key = (fitness(taus), len(taus), taus)
-        evaluations += 1
+    configs = _enumerate_configs(n, min_len, max_m)
+    while chunk := list(islice(configs, _CHUNK)):
+        evaluations += len(chunk)
+        key = min(zip(fitness(chunk), map(len, chunk), chunk))
         if best_key is None or key < best_key:
             best_key = key
     best = _refit(series, model, best_key[2], best_key[0])
@@ -299,8 +311,9 @@ def exhaustive_optimize(
 def _bit_matrix(configs: Sequence[tuple[int, ...]], length: int) -> np.ndarray:
     """Inclusion bitvectors of ``configs`` over boundaries ``1..length``, one row each."""
     bits = np.zeros((len(configs), length), dtype=bool)
-    rows = [row for row, taus in enumerate(configs) for _ in taus]
-    bits[rows, [tau - 1 for taus in configs for tau in taus]] = True
+    counts = np.fromiter(map(len, configs), np.intp, len(configs))
+    taus = np.fromiter(chain.from_iterable(configs), np.intp, int(counts.sum()))
+    bits[np.repeat(np.arange(len(configs)), counts), taus - 1] = True
     return bits
 
 
@@ -312,7 +325,7 @@ def _repair(bits: np.ndarray, n: int, min_len: int, max_m: int) -> list[tuple[in
     boundaries win), truncates to ``max_m``, then drops trailing
     boundaries that would leave a short final regime.
     """
-    rows, cols = bits.nonzero()
+    rows, cols = np.divmod(np.flatnonzero(bits), bits.shape[1])
     taus = (cols + 1).tolist()
     repaired = []
     start = 0
@@ -343,13 +356,15 @@ def ga_minimize(
 ) -> GARun:
     """Minimize ``fitness`` over boundary tuples of a length-``n`` series.
 
-    ``fitness`` maps a boundary tuple whose regimes all span at least
-    ``min_len`` indices to its score, or +inf if it cannot be scored.
-    Each distinct tuple is scored once; only its sort key
-    ``(score, m, taus)`` is kept.  Individuals are inclusion bitvectors
-    over candidate boundaries ``1..n-1``; infeasible children are
-    repaired, never rejected.  See :func:`ga_optimize` for the
-    generation scheme and the stopping rule.
+    ``fitness`` maps a list of distinct boundary tuples, whose regimes
+    all span at least ``min_len`` indices, to their scores (+inf where
+    one cannot be scored).  A tuple's score must not depend on the rest
+    of the list.  Each generation's tuples not yet scored are collected
+    in first-seen order and scored by one call; each distinct tuple is
+    scored once, and only its sort key ``(score, m, taus)`` is kept.
+    Individuals are inclusion bitvectors over candidate boundaries
+    ``1..n-1``; infeasible children are repaired, never rejected.  See
+    :func:`ga_optimize` for the generation scheme and the stopping rule.
 
     Each generation's draws come from one stream keyed by
     ``(params.seed, generation)``, generation 0 building the initial
@@ -379,12 +394,11 @@ def ga_minimize(
     cache: dict[tuple[int, ...], tuple] = {}
 
     def ranked(pop: list[tuple[int, ...]]) -> list[tuple]:
-        keys = []
-        for taus in pop:
-            key = cache.get(taus)
-            if key is None:
-                key = cache[taus] = (fitness(taus), len(taus), taus)
-            keys.append(key)
+        missing = [taus for taus in dict.fromkeys(pop) if taus not in cache]
+        if missing:
+            for taus, score in zip(missing, fitness(missing)):
+                cache[taus] = (score, len(taus), taus)
+        keys = [cache[taus] for taus in pop]
         keys.sort()
         return keys
 
@@ -417,7 +431,9 @@ def ga_minimize(
         parents = _bit_matrix([key[2] for key in current], length)
         first = parents[picks[:, :3].min(axis=1)]
         second = parents[picks[:, 3:].min(axis=1)]
-        bits = np.where(crossed[:, None] & from_second, second, first) ^ flips
+        # Uniform crossover as bit operations: the second parent's bit where
+        # a crossed child takes it, the first parent's elsewhere.
+        bits = first ^ ((first ^ second) & (crossed[:, None] & from_second)) ^ flips
         population = [key[2] for key in current[:elite_count]]
         population += _repair(bits, n, min_len, cap)
         current = ranked(population)

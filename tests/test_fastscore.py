@@ -1,6 +1,9 @@
-"""The O(m) search scores against the two-pass reference fit."""
+"""The O(m) batch search scores against the two-pass reference fit, and
+against themselves in other batches."""
 
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -93,14 +96,14 @@ def scored_cases(draw):
 def test_fast_score_matches_reference(case):
     model, series, taus = case
     reference = _reference(series, model, taus)
-    fast = score_function(series, model)(taus)
-    searched = _model_fitness(series, model)(taus)
+    [fast] = score_function(series, model)([taus])
+    [searched] = _model_fitness(series, model)([taus])
     if reference is None:
         # a degenerate fit is never scored fast: it falls back and ranks last
-        assert fast is None
+        assert math.isnan(fast)
         assert searched == math.inf
         return
-    assert fast is None or _close(fast, reference), (fast, reference)
+    assert math.isnan(fast) or _close(fast, reference), (fast, reference)
     assert _close(searched, reference), (searched, reference)
 
 
@@ -108,10 +111,9 @@ def test_fast_score_matches_reference(case):
 def test_well_conditioned_series_never_fall_back(model):
     # the fast path must carry the search, not the fallback
     series = _cet_like(3)
-    fast = score_function(series, model)
-    for taus in _random_configs(series, min_segment_length(model), 200, 4):
-        score = fast(taus)
-        assert score is not None, taus
+    configs = list(_random_configs(series, min_segment_length(model), 200, 4))
+    for taus, score in zip(configs, score_function(series, model)(configs)):
+        assert not math.isnan(score), taus
         assert _close(score, _reference(series, model, taus))
 
 
@@ -121,14 +123,29 @@ def test_constant_series_falls_back_to_degenerate(model):
     level = 0.0 if model.mean_structure.value == "variance-shift" else 1e4
     series = TimeSeries(1900, np.full(12, level))
     taus = (4, 8)
-    assert score_function(series, model)(taus) is None
-    assert _model_fitness(series, model)(taus) == math.inf
+    assert math.isnan(score_function(series, model)([taus])[0])
+    assert _model_fitness(series, model)([taus]) == [math.inf]
+
+
+@pytest.mark.parametrize("model", MODELS, ids=ModelSpec.label)
+def test_scorer_is_freed_without_the_cycle_collector(model):
+    # a scorer in a reference cycle keeps its prefix-sum tables until the
+    # cyclic collector runs, so memory grew with every search of a run
+    scorer = score_function(_cet_like(1), model)
+    owner = weakref.ref(getattr(scorer, "__self__", scorer))
+    gc.disable()
+    try:
+        del scorer
+        assert owner() is None
+    finally:
+        gc.enable()
 
 
 def test_winner_whose_refit_disagrees_raises(monkeypatch):
     from cetseg import search
 
-    monkeypatch.setattr(search, "score_function", lambda series, model: lambda taus: -1.0)
+    monkeypatch.setattr(search, "score_function",
+                        lambda series, model: lambda configs: np.full(len(configs), -1.0))
     series = simulate_series(SimSpec(n=12, phi=0.4, seed=5))
     with pytest.raises(search.RefitMismatchError):
         search.exhaustive_optimize(series, ModelSpec("mean-shift", "ar1"))
@@ -173,22 +190,21 @@ def joinpin_cases(draw):
 @settings(max_examples=600, deadline=None)
 def test_joinpin_fast_rss_matches_reference(case):
     series, taus, sigma2, exact = case
-    rss = joinpin_rss(series.values)(taus)
+    [rss] = joinpin_rss(series.values)([taus])
     if exact:
         # an exact fit is never scored fast: the search leaves it to the least squares
-        assert rss is None
+        assert math.isnan(rss)
         return
-    if rss is not None:
+    if not math.isnan(rss):
         reference = fit_joinpin(series, ChangepointConfiguration(taus), sigma2).bic_score
         assert _close(_joinpin_score(series, taus, rss, sigma2), reference), (rss, reference)
 
 
 def test_joinpin_cet_like_series_never_falls_back():
     series = _cet_like(1)
-    fast = joinpin_rss(series.values)
-    for taus in _random_configs(series, 2, 100, 4):
-        rss = fast(taus)
-        assert rss is not None, taus
+    configs = list(_random_configs(series, 2, 100, 4))
+    for taus, rss in zip(configs, joinpin_rss(series.values)(configs)):
+        assert not math.isnan(rss), taus
         reference = fit_joinpin(series, ChangepointConfiguration(taus), 0.29).bic_score
         assert _close(_joinpin_score(series, taus, rss, 0.29), reference)
 
@@ -198,9 +214,55 @@ def test_joinpin_winner_whose_refit_disagrees_raises(monkeypatch):
 
     def perturbed(values):
         fast = joinpin_rss(values)
-        return lambda taus: None if fast(taus) is None else fast(taus) + 1.0
+        return lambda configs: fast(configs) + 1.0  # NaN rows stay NaN
 
     monkeypatch.setattr(joinpin, "joinpin_rss", perturbed)
     series = simulate_series(SimSpec(n=30, phi=0.4, seed=5))
     with pytest.raises(RefitMismatchError):
         joinpin_search(series, 1.0, params=GAParams(population_size=20, max_generations=5))
+
+
+def _same(a: float, b: float) -> bool:
+    return a == b or (math.isnan(a) and math.isnan(b))
+
+
+def _extra_configs(draw, n, min_len):
+    """Up to five more feasible configurations of a length-``n`` series."""
+    rows = draw(st.lists(st.lists(st.booleans(), min_size=n - 1, max_size=n - 1), max_size=5))
+    return _repair(np.array(rows, dtype=bool).reshape(len(rows), n - 1), n, min_len, n - 1)
+
+
+@st.composite
+def batch_cases(draw):
+    """A batch scorer, its configurations, and an order to shuffle them by.
+
+    The scorer is a searched family's fast score or the joinpin RSS, on
+    the series of :func:`scored_cases` or :func:`joinpin_cases`, whose
+    degenerate regimes follow the first configuration, so batches mix
+    fast and fallback rows.
+    """
+    if draw(st.booleans()):
+        model, series, taus = draw(scored_cases())
+        score = score_function(series, model)
+        min_len = min_segment_length(model)
+    else:
+        series, taus, _, _ = draw(joinpin_cases())
+        score = joinpin_rss(series.values)
+        min_len = 2
+    configs = [taus, *_extra_configs(draw, series.n, min_len)]
+    order = draw(st.permutations(range(len(configs))))
+    return score, configs, order
+
+
+@given(batch_cases())
+@settings(max_examples=400, deadline=None)
+def test_batch_scores_do_not_depend_on_the_batch(case):
+    score, configs, order = case
+    alone = [score([taus])[0] for taus in configs]
+    shuffled = score([configs[i] for i in order])
+    for value, i in zip(shuffled, order):
+        assert _same(value, alone[i]), (configs[i], value, alone[i])
+    # each configuration twice, the copies apart
+    doubled = score(configs + [configs[i] for i in order])
+    for value, i in zip(doubled, [*range(len(configs)), *order]):
+        assert _same(value, alone[i]), (configs[i], value, alone[i])

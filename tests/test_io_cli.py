@@ -436,6 +436,14 @@ class TestCliSimulate:
     def test_garbled_taus_exit_2(self, capsys):
         assert main(["simulate", "--n", "20", "--taus", "1,x", "--mu", "0,1"]) == 2
 
+    @pytest.mark.parametrize("taus", ["4.7", "4,9.5", "inf"])
+    def test_non_integer_taus_exit_2(self, capsys, taus):
+        # a fractional changepoint used to be truncated silently
+        assert main(["simulate", "--n", "20", "--taus", taus, "--mu", "0,1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: --taus expects integers")
+
 
 class TestCliCompare:
     def test_compare_json_structure_and_reproducibility(self, csv_file, capsys):

@@ -311,9 +311,9 @@ class TestGA:
         fitness = _model_fitness(ar1_series(21, 80), ModelSpec("trend-shift", "wn"))
         scored = set()
 
-        def recording(taus):
-            scored.add(taus)
-            return fitness(taus)
+        def recording(configs):
+            scored.update(configs)
+            return fitness(configs)
 
         return scored, ga_minimize(recording, 80, 3, params, initial=initial)
 
@@ -431,3 +431,31 @@ def test_golden_ga_trajectory(case):
     assert report.evaluations_count == evaluations
     assert report.score_history[-1] == report.best.score
     assert all(b <= a for a, b in zip(report.score_history, report.score_history[1:]))
+
+
+# The same pins at the paper's length, on the CET-like fixture of the
+# benchmark, with default populations: (family, GA params, taus,
+# repr(best score), generations run, distinct configurations scored).
+GOLDEN_362_SPEC = dict(n=362, taus=(41, 80, 329), mus=(9.0, 8.5, 9.3, 10.2),
+                       betas=(0.0, 0.0, 0.003, 0.02), phi=0.06, sigma=0.54, seed=1,
+                       first_year=1659)
+GOLDEN_362 = (
+    (("trend-shift", "wn", "mdl"), GAParams(seed=1, max_generations=100),
+     (79, 329), "560.153163161482", 100, 9573),
+    (("mean-shift", "ar1", "bic"), GAParams(seed=1, max_generations=40),
+     (35, 81, 173, 229, 329, 342), "597.4024669018572", 40, 6072),
+)
+
+
+@pytest.mark.parametrize("case", range(len(GOLDEN_362)),
+                         ids=lambda i: "-".join(GOLDEN_362[i][0]))
+def test_golden_ga_trajectory_at_the_paper_length(case):
+    from cetseg.simulate import SimSpec, simulate_series
+
+    family, params, taus, score, generations, evaluations = GOLDEN_362[case]
+    series = simulate_series(SimSpec(**GOLDEN_362_SPEC))
+    report = ga_optimize(series, ModelSpec(*family), params)
+    assert report.best.config.taus == taus
+    assert repr(report.best.score) == score
+    assert report.generations_run == generations
+    assert report.evaluations_count == evaluations
