@@ -8,7 +8,6 @@ long-memory model) for side-by-side comparison.
 """
 
 from .core import (
-    EMPTY_CONFIGURATION,
     CetsegError,
     ChangepointConfiguration,
     DataError,
@@ -21,7 +20,6 @@ from .core import (
     ModelSpec,
     Penalty,
     TimeSeries,
-    regime_index,
 )
 from .joinpin import JoinpinFit, fit_joinpin, joinpin_search
 from .longmemory import ArfimaFit, fit_arfima, frac_diff
@@ -45,8 +43,6 @@ __all__ = [
     "InfeasibleModelError",
     "TimeSeries",
     "ChangepointConfiguration",
-    "EMPTY_CONFIGURATION",
-    "regime_index",
     "MeanStructure",
     "ErrorModel",
     "Penalty",

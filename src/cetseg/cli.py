@@ -19,14 +19,13 @@ from dataclasses import dataclass
 from typing import Any
 
 from .core import (
+    FAMILIES,
     DataError,
     DegenerateFitError,
     DomainError,
-    ErrorModel,
     InfeasibleModelError,
     MeanStructure,
     ModelSpec,
-    Penalty,
     TimeSeries,
 )
 from .estimation import fitted_mean
@@ -47,14 +46,12 @@ from .simulate import SimSpec, simulate_series
 __all__ = ["main", "build_parser", "AnalysisRequest", "run_analysis"]
 
 _MODEL_CHOICES = [ms.value for ms in MeanStructure]
-_DEFAULT_ERRORS = {
-    "mean-shift": "ar1",
-    "trend-shift": "ar1",
-    "fixed-slope": "ar1",
-    "variance-shift": "wn",
-    "joinpin": "wn",
-    "long-memory": "wn",
-}
+_ERRORS_HELP = (
+    "error model, the default listed first: "
+    + "; ".join(f"{ms.value} {'/'.join(e.value for e in family.errors)}"
+                for ms, family in FAMILIES.items())
+    + " (for long-memory, ar1 selects the p=1 variant)"
+)
 
 # (model, errors, penalty) rows of the comparison table, in emit order.
 _COMPARE_ROWS = [
@@ -111,9 +108,7 @@ def _add_search_args(p: argparse.ArgumentParser) -> None:
 def _add_model_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--model", required=True, choices=_MODEL_CHOICES)
     p.add_argument("--errors", choices=["wn", "ar1"], default=None,
-                   help="error model (default depends on --model; joinpin "
-                        "and variance-shift take wn only; for long-memory, "
-                        "ar1 selects the p=1 variant)")
+                   help=_ERRORS_HELP)
     p.add_argument("--penalty", choices=["bic", "mdl"], default="bic")
     p.add_argument("--sigma2", type=float, default=None,
                    help="fixed error variance for joinpin (default: "
@@ -213,42 +208,31 @@ def run_analysis(req: AnalysisRequest) -> dict[str, Any]:
     # Rejects combinations without a scoring rule, e.g. joinpin with AR(1)
     # errors or under MDL, before any search runs.
     spec = ModelSpec(model, req.errors, req.penalty)
+    fitted = None
 
     if model == "long-memory":
         fit = fit_arfima(series, p=1 if req.errors == "ar1" else 0)
-        result = result_to_dict(fit, series, params.seed, None)
-        result["_fitted"] = fitted_values_of(fit, series)
-        result["_fit"] = fit
-        return result
-
-    if model == "joinpin":
+    elif model == "joinpin":
         sigma2 = req.sigma2
         if sigma2 is None:
             stage = ga_optimize(series, ModelSpec("trend-shift", "wn", "bic"),
                                 params, max_m=req.max_m)
             sigma2 = stage.best.sigma2_hat
         fit = joinpin_search(series, sigma2, max_m=req.max_m, params=params)
-        result = result_to_dict(fit, series, params.seed, params)
-        result["_fitted"] = fitted_values_of(fit, series)
-        result["_fit"] = fit
-        return result
-
-    if model == "variance-shift":
+    elif model == "variance-shift":
         stage = ga_optimize(series, ModelSpec("trend-shift", "wn", req.penalty),
                             params, max_m=req.max_m)
         trend = stage.best
-        trend_fitted = fitted_mean(trend.config, trend.means, trend.slopes, series.n)
-        residual_series = TimeSeries(series.first_year, series.values - trend_fitted)
-        report = ga_optimize(residual_series, spec, params, max_m=req.max_m)
-        result = result_to_dict(report.best, series, params.seed, params)
-        result["_fitted"] = trend_fitted
-        result["_fit"] = report.best
-        return result
+        fitted = fitted_mean(trend.config, trend.means, trend.slopes, series.n)
+        residual_series = TimeSeries(series.first_year, series.values - fitted)
+        fit = ga_optimize(residual_series, spec, params, max_m=req.max_m).best
+    else:
+        fit = ga_optimize(series, spec, params, max_m=req.max_m).best
 
-    report = ga_optimize(series, spec, params, max_m=req.max_m)
-    result = result_to_dict(report.best, series, params.seed, params)
-    result["_fitted"] = fitted_values_of(report.best, series)
-    result["_fit"] = report.best
+    ga_params = None if model == "long-memory" else params
+    result = result_to_dict(fit, series, params.seed, ga_params)
+    result["_fitted"] = fitted_values_of(fit, series) if fitted is None else fitted
+    result["_fit"] = fit
     return result
 
 
@@ -270,18 +254,18 @@ _TABLE_HEADER = (
 )
 
 
+def _request(args: argparse.Namespace, series: TimeSeries) -> AnalysisRequest:
+    """The request of a one-model subcommand (``fit`` or ``residuals``)."""
+    errors = args.errors or FAMILIES[MeanStructure(args.model)].errors[0].value
+    return AnalysisRequest(
+        series=series, model=args.model, errors=errors, penalty=args.penalty,
+        ga_params=_ga_params(args), max_m=args.max_m, sigma2=args.sigma2,
+    )
+
+
 def _cmd_fit(args: argparse.Namespace) -> int:
     series = _load(args)
-    req = AnalysisRequest(
-        series=series,
-        model=args.model,
-        errors=args.errors or _DEFAULT_ERRORS[args.model],
-        penalty=args.penalty,
-        ga_params=_ga_params(args),
-        max_m=args.max_m,
-        sigma2=args.sigma2,
-    )
-    result = run_analysis(req)
+    result = run_analysis(_request(args, series))
     if args.plot:
         emit_plot(series, result["_fit"], args.plot,
                   title=f"{result['model']} ({result['errors']}, {result['penalty']})")
@@ -329,16 +313,7 @@ def _cmd_compare(args: argparse.Namespace) -> int:
 
 def _cmd_residuals(args: argparse.Namespace) -> int:
     series = _load(args)
-    req = AnalysisRequest(
-        series=series,
-        model=args.model,
-        errors=args.errors or _DEFAULT_ERRORS[args.model],
-        penalty=args.penalty,
-        ga_params=_ga_params(args),
-        max_m=args.max_m,
-        sigma2=args.sigma2,
-    )
-    result = run_analysis(req)
+    result = run_analysis(_request(args, series))
     sys.stdout.write(decomposition_to_csv(series, result["_fitted"]))
     print(f"seed: {result['seed']}", file=sys.stderr)
     return 0

@@ -16,7 +16,6 @@ across threads read-only.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
 from dataclasses import dataclass, field
 from enum import Enum
 from itertools import chain
@@ -32,12 +31,12 @@ __all__ = [
     "InfeasibleModelError",
     "TimeSeries",
     "ChangepointConfiguration",
-    "EMPTY_CONFIGURATION",
     "Regimes",
-    "regime_index",
     "MeanStructure",
     "ErrorModel",
     "Penalty",
+    "Family",
+    "FAMILIES",
     "ModelSpec",
     "FitResult",
 ]
@@ -204,9 +203,6 @@ class ChangepointConfiguration:
         return "()" if not self.taus else str(self.taus)
 
 
-EMPTY_CONFIGURATION = ChangepointConfiguration()
-
-
 class Regimes:
     """The regimes of a batch of boundary tuples on a series of length ``n``,
     as flat arrays.
@@ -252,18 +248,6 @@ class Regimes:
         return np.cumsum(table, axis=1)[:, -1]
 
 
-def regime_index(t: int, config: ChangepointConfiguration, n: int) -> int:
-    """Zero-based regime id of time index ``t`` in a series of length ``n``.
-
-    The result is the unique ``i`` with ``tau_i < t <= tau_{i+1}``
-    under the implicit boundaries ``tau_0 = 0`` and ``tau_{m+1} = n``.
-    """
-    if not 1 <= t <= n:
-        raise DomainError(f"time index {t} outside 1..{n}")
-    config._check_n(n)
-    return bisect_left(config.taus, t)
-
-
 class MeanStructure(str, Enum):
     """What part of the observation model shifts between regimes."""
 
@@ -285,26 +269,48 @@ class Penalty(str, Enum):
     MDL = "mdl"
 
 
-_ALLOWED_ERRORS = {
-    MeanStructure.MEAN_SHIFT: {ErrorModel.AR1},
-    MeanStructure.TREND_SHIFT: {ErrorModel.AR1, ErrorModel.WHITE_NOISE},
-    MeanStructure.FIXED_SLOPE: {ErrorModel.AR1},
-    MeanStructure.VARIANCE_SHIFT: {ErrorModel.WHITE_NOISE},
-    MeanStructure.JOINPIN: {ErrorModel.WHITE_NOISE},
-    MeanStructure.LONG_MEMORY: {ErrorModel.WHITE_NOISE, ErrorModel.AR1},
-}
+@dataclass(frozen=True)
+class Family:
+    """What one mean structure is, for every module that needs to know.
 
-# Families scored outside the shared BIC/MDL penalty tables carry their
-# own single scoring rule and reject a penalty choice other than BIC.
-_BIC_ONLY = {MeanStructure.JOINPIN, MeanStructure.LONG_MEMORY}
+    ``errors`` lists the error models it is scored with, the command-line
+    default first; ``penalties`` the penalties it is scored under.
+    ``min_len`` is the shortest regime it can estimate its parameters
+    on (``None``: it has no regimes).  ``regime_params`` counts the
+    parameters each regime estimates (its level and slope, or its
+    variance) and ``global_params`` those estimated once for the whole
+    series (the innovation variance and a shared slope); from them
+    :mod:`cetseg.penalties` derives both penalties.  They are ``None``
+    for families that carry their own scoring rule.
+    """
+
+    errors: tuple[ErrorModel, ...]
+    penalties: tuple[Penalty, ...]
+    min_len: int | None
+    regime_params: int | None = None
+    global_params: int | None = None
+
+
+_AR1, _WN = ErrorModel.AR1, ErrorModel.WHITE_NOISE
+_BOTH = (Penalty.BIC, Penalty.MDL)
+
+FAMILIES = {
+    MeanStructure.MEAN_SHIFT: Family((_AR1,), _BOTH, 1, 1, 1),
+    MeanStructure.TREND_SHIFT: Family((_AR1, _WN), _BOTH, 3, 2, 1),
+    MeanStructure.FIXED_SLOPE: Family((_AR1,), _BOTH, 2, 1, 2),
+    MeanStructure.VARIANCE_SHIFT: Family((_WN,), _BOTH, 2, 1, 0),
+    MeanStructure.JOINPIN: Family((_WN,), (Penalty.BIC,), 2),
+    MeanStructure.LONG_MEMORY: Family((_WN, _AR1), (Penalty.BIC,), None),
+}
 
 
 @dataclass(frozen=True)
 class ModelSpec:
     """A supported (mean structure, error model, penalty) combination.
 
-    Construction rejects combinations the scoring tables do not define,
-    e.g. mean shifts with white-noise errors or joinpin under MDL.
+    Construction rejects combinations its :data:`FAMILIES` record does
+    not list, e.g. mean shifts with white-noise errors or joinpin under
+    MDL.
     """
 
     mean_structure: MeanStructure
@@ -318,11 +324,17 @@ class ModelSpec:
         object.__setattr__(self, "mean_structure", ms)
         object.__setattr__(self, "error_model", em)
         object.__setattr__(self, "penalty", pen)
-        if em not in _ALLOWED_ERRORS[ms]:
-            allowed = " or ".join(sorted(e.value for e in _ALLOWED_ERRORS[ms]))
+        family = FAMILIES[ms]
+        if em not in family.errors:
+            allowed = " or ".join(sorted(e.value for e in family.errors))
             raise DomainError(f"{ms.value} is scored with {allowed} errors only")
-        if ms in _BIC_ONLY and pen is not Penalty.BIC:
-            raise DomainError(f"{ms.value} is scored under BIC only")
+        if pen not in family.penalties:
+            allowed = " or ".join(p.name for p in family.penalties)
+            raise DomainError(f"{ms.value} is scored under {allowed} only")
+
+    @property
+    def family(self) -> Family:
+        return FAMILIES[self.mean_structure]
 
     def label(self) -> str:
         return f"{self.mean_structure.value}+{self.error_model.value}/{self.penalty.value}"
@@ -366,7 +378,3 @@ class FitResult:
     def changepoint_years(self, series: TimeSeries) -> tuple[int, ...]:
         """Calendar years flagged: the first year of each new regime."""
         return tuple(series.first_year + tau for tau in self.config.taus)
-
-    def sort_key(self) -> tuple:
-        """Total order used for tie-breaking: score, then m, then boundary indices."""
-        return (self.score, self.config.m, self.config.taus)

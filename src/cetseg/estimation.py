@@ -20,14 +20,20 @@ from functools import lru_cache
 
 import numpy as np
 
-from .core import ChangepointConfiguration, DegenerateFitError, DomainError, TimeSeries
+from .core import (
+    FAMILIES,
+    ChangepointConfiguration,
+    DegenerateFitError,
+    DomainError,
+    MeanStructure,
+    TimeSeries,
+)
 
 __all__ = [
     "fit_mean_shift",
     "fit_trend_shift",
     "fit_fixed_slope",
     "fitted_mean",
-    "detrend",
     "estimate_ar1",
     "innovation_variance",
     "gaussian_neg2loglik",
@@ -73,7 +79,7 @@ def fit_trend_shift(
         If any regime has fewer than 3 observations; a line through
         two points leaves no residual information.
     """
-    config.validate_for(series.n, min_segment_length=3)
+    config.validate_for(series.n, FAMILIES[MeanStructure.TREND_SHIFT].min_len)
     x = series.values
     t = _time_index(series.n)
     intercepts = []
@@ -109,7 +115,7 @@ def fit_fixed_slope(
         carries no slope information and makes the pooled denominator
         degenerate when every regime is a singleton).
     """
-    config.validate_for(series.n, min_segment_length=2)
+    config.validate_for(series.n, FAMILIES[MeanStructure.FIXED_SLOPE].min_len)
     x = series.values
     t = _time_index(series.n)
     num = 0.0
@@ -145,14 +151,6 @@ def fitted_mean(
     for i, s in enumerate(slices):
         f[s] = means[i] if slopes is None else means[i] + slopes[i] * t[s]
     return f
-
-
-def detrend(series: TimeSeries, fitted: np.ndarray) -> np.ndarray:
-    """Residuals of the series around a fitted mean function."""
-    fitted = np.asarray(fitted, dtype=np.float64)
-    if fitted.shape != (series.n,):
-        raise DomainError(f"fitted values must have shape ({series.n},)")
-    return series.values - fitted
 
 
 def estimate_ar1(residuals: np.ndarray) -> float:
@@ -226,7 +224,7 @@ def fit_variance_shift(
     """
     d = np.asarray(residuals, dtype=np.float64)
     n = d.size
-    config.validate_for(n, min_segment_length=2)
+    config.validate_for(n, FAMILIES[MeanStructure.VARIANCE_SHIFT].min_len)
     variances = []
     n2ll = n * (1.0 + LOG_2PI)
     for s in config.slices(n):

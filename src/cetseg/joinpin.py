@@ -23,6 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (
+    FAMILIES,
     ChangepointConfiguration,
     DomainError,
     MeanStructure,
@@ -30,11 +31,11 @@ from .core import (
 )
 from .estimation import LOG_2PI
 from .fastscore import joinpin_rss
-from .search import GAParams, MIN_SEGMENT_LENGTH, check_refit, ga_minimize
+from .search import GAParams, check_refit, ga_minimize
 
 __all__ = ["JoinpinFit", "fit_joinpin", "joinpin_search", "default_knot_penalty"]
 
-_MIN_SEG = MIN_SEGMENT_LENGTH[MeanStructure.JOINPIN]
+_MIN_SEG = FAMILIES[MeanStructure.JOINPIN].min_len
 
 
 def default_knot_penalty(n: int) -> float:
@@ -66,9 +67,6 @@ class JoinpinFit:
         fitted = np.asarray(self.fitted, dtype=np.float64).copy()
         fitted.flags.writeable = False
         object.__setattr__(self, "fitted", fitted)
-
-    def sort_key(self) -> tuple:
-        return (self.bic_score, self.config.m, self.config.taus)
 
     def segment_lines(self) -> tuple[tuple[float, float], ...]:
         """Per-regime (intercept, slope) of the continuous fit on the

@@ -49,9 +49,6 @@ class ArfimaFit:
     hit_boundary: bool
     probes: tuple[tuple[float, float], ...]
 
-    def sort_key(self) -> tuple:
-        return (self.bic_score, self.p)
-
 
 def frac_diff(values, d: float, truncation_lag: int) -> np.ndarray:
     """Apply the fractional difference filter (1 - B)^d, truncated.

@@ -48,7 +48,6 @@ from .fastscore import score_function
 from .penalties import PenaltyContext, penalty_value
 
 __all__ = [
-    "MIN_SEGMENT_LENGTH",
     "min_segment_length",
     "evaluate",
     "GAParams",
@@ -62,15 +61,6 @@ __all__ = [
     "EXHAUSTIVE_MAX_N",
     "REFIT_RTOL",
 ]
-
-# Shortest regime each mean structure can estimate its parameters on.
-MIN_SEGMENT_LENGTH = {
-    MeanStructure.MEAN_SHIFT: 1,
-    MeanStructure.TREND_SHIFT: 3,
-    MeanStructure.FIXED_SLOPE: 2,
-    MeanStructure.VARIANCE_SHIFT: 2,
-    MeanStructure.JOINPIN: 2,
-}
 
 # Enumeration over all subsets of boundary positions is exponential in
 # N; keep the exact path as a small-N oracle only.
@@ -90,10 +80,10 @@ class RefitMismatchError(CetsegError):
 
 
 def min_segment_length(model: ModelSpec) -> int:
-    try:
-        return MIN_SEGMENT_LENGTH[model.mean_structure]
-    except KeyError:
-        raise DomainError(f"no segment constraint defined for {model.label()}") from None
+    """Shortest regime ``model`` can estimate its parameters on."""
+    if model.family.min_len is None:
+        raise DomainError(f"no segment constraint defined for {model.label()}")
+    return model.family.min_len
 
 
 def evaluate(series: TimeSeries, model: ModelSpec, config: ChangepointConfiguration) -> FitResult:

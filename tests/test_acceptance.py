@@ -10,6 +10,7 @@ which are sized for series of this length; each one finishes in well
 under a minute on ordinary hardware.
 """
 
+import hashlib
 import json
 import os
 import subprocess
@@ -24,6 +25,7 @@ from cetseg import (
     ModelSpec,
     TimeSeries,
 )
+from cetseg.cli import main
 from cetseg.io import fitted_values_of, series_to_csv
 from cetseg.joinpin import joinpin_search
 from cetseg.longmemory import fit_arfima
@@ -269,3 +271,31 @@ def test_criterion_11_same_seed_byte_identical_json(tmp_path):
     assert first.stdout == second.stdout
     assert first.stdout.endswith(b"\n")
     json.loads(first.stdout)
+
+
+# SHA-256 of whole canonical outputs on the fixed simulated CET-like
+# series.  A change that alters any answer, digit or key re-pins these,
+# recording old -> new digests in CHANGES.md.
+CANONICAL_OUTPUTS = {
+    "compare": (
+        ["compare", "--out", "json", "--generations", "40", "--seed", "1"],
+        "cd2495feaf1e80800006285050e1a8a4597e6c345beea1aec854df1854caeec1",
+    ),
+    "fit": (
+        ["fit", "--model", "trend-shift", "--errors", "wn", "--penalty", "mdl",
+         "--generations", "100", "--seed", "1", "--out", "json"],
+        "afcf265d1ef7547345974c3f6e5b4fcb3cfb000a25888df97928cda9cd82f13a",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CANONICAL_OUTPUTS))
+def test_canonical_output_is_pinned(name, tmp_path, capsys):
+    spec = SimSpec(n=362, taus=(41, 80, 329), mus=(9.0, 8.5, 9.3, 10.2),
+                   betas=(0.0, 0.0, 0.003, 0.02), phi=0.06, sigma=0.54, seed=1,
+                   first_year=1659)
+    data = tmp_path / "series.csv"
+    data.write_text(series_to_csv(simulate_series(spec)), encoding="utf-8")
+    command, digest = CANONICAL_OUTPUTS[name]
+    assert main([command[0], "--input", str(data), "--format", "csv", *command[1:]]) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode("utf-8")).hexdigest() == digest

@@ -1,9 +1,7 @@
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
 
 from cetseg import (
-    EMPTY_CONFIGURATION,
     ChangepointConfiguration,
     DomainError,
     ErrorModel,
@@ -12,7 +10,6 @@ from cetseg import (
     ModelSpec,
     Penalty,
     TimeSeries,
-    regime_index,
 )
 
 
@@ -107,37 +104,6 @@ class TestConfiguration:
         assert [list(p) for p in parts] == [[0, 1, 2, 3], [4, 5, 6, 7, 8, 9]]
 
 
-class TestRegimeIndex:
-    def test_worked_examples(self):
-        assert regime_index(1, EMPTY_CONFIGURATION, 10) == 0
-        cfg = ChangepointConfiguration((4,))
-        assert regime_index(4, cfg, 10) == 0
-        assert regime_index(5, cfg, 10) == 1
-        cet = ChangepointConfiguration((41, 80, 329))
-        assert regime_index(330, cet, 362) == 3
-
-    def test_range_check(self):
-        with pytest.raises(DomainError):
-            regime_index(0, EMPTY_CONFIGURATION, 10)
-        with pytest.raises(DomainError):
-            regime_index(11, EMPTY_CONFIGURATION, 10)
-
-    @given(st.data())
-    def test_partition_properties(self, data):
-        n = data.draw(st.integers(2, 40))
-        taus = data.draw(
-            st.lists(st.integers(1, n - 1), unique=True, max_size=n - 1).map(sorted)
-        )
-        cfg = ChangepointConfiguration(tuple(taus))
-        ids = [regime_index(t, cfg, n) for t in range(1, n + 1)]
-        # non-decreasing, hits every regime, lengths match
-        assert ids == sorted(ids)
-        assert set(ids) == set(range(cfg.m + 1))
-        lengths = cfg.regime_lengths(n)
-        for i, length in enumerate(lengths):
-            assert ids.count(i) == length
-
-
 class TestModelSpec:
     @pytest.mark.parametrize(
         "ms,em",
@@ -200,14 +166,6 @@ class TestFitResult:
         # score is derived, so it cannot disagree with its parts
         r = self._result()
         assert r.score == r.neg2loglik + r.penalty_value
-
-    def test_sort_key_orders_by_score_then_m_then_taus(self):
-        a = self._result(n2ll=1.0, taus=(3,))
-        b = self._result(n2ll=1.0, taus=(2, 5))
-        c = self._result(n2ll=1.0, taus=(4,))
-        assert a.sort_key() < b.sort_key()  # fewer changepoints first
-        assert a.sort_key() < c.sort_key()  # then lexicographic
-        assert self._result(n2ll=0.5, taus=(2, 5)).sort_key() < a.sort_key()
 
     def test_changepoint_years(self):
         ts = TimeSeries(1659, np.zeros(362))

@@ -7,7 +7,6 @@ from hypothesis import given, settings, strategies as st
 from cetseg import ChangepointConfiguration, DegenerateFitError, DomainError, TimeSeries
 from cetseg.estimation import (
     LOG_2PI,
-    detrend,
     estimate_ar1,
     fit_fixed_slope,
     fit_mean_shift,
@@ -110,19 +109,12 @@ class TestFittedMeanAndDetrend:
         with pytest.raises(DomainError):
             fitted_mean(ChangepointConfiguration((2,)), (1.0,), None, 5)
 
-    def test_detrend_is_subtraction(self):
-        ts = _ts([5.0, 6.0, 7.0])
-        d = detrend(ts, np.array([4.0, 6.0, 8.0]))
-        assert list(d) == [1.0, 0.0, -1.0]
-        with pytest.raises(DomainError):
-            detrend(ts, np.zeros(2))
-
     def test_residuals_of_own_fit_sum_to_zero_per_regime(self, rng):
         x = rng.normal(2, 1, 20)
         ts = _ts(x)
         cfg = ChangepointConfiguration((7,))
         means = fit_mean_shift(ts, cfg)
-        d = detrend(ts, fitted_mean(cfg, means, None, 20))
+        d = ts.values - fitted_mean(cfg, means, None, 20)
         for s in cfg.slices(20):
             assert float(d[s].sum()) == pytest.approx(0.0, abs=1e-10)
 
@@ -216,8 +208,8 @@ class TestInvariances:
         b = fit_mean_shift(_ts(x + c), cfg)
         assert np.allclose(np.array(b) - np.array(a), c, atol=1e-9)
         # residual chain unchanged
-        da = detrend(_ts(x), fitted_mean(cfg, a, None, 18))
-        db = detrend(_ts(x + c), fitted_mean(cfg, b, None, 18))
+        da = _ts(x).values - fitted_mean(cfg, a, None, 18)
+        db = _ts(x + c).values - fitted_mean(cfg, b, None, 18)
         assert np.allclose(da, db, atol=1e-9)
         assert estimate_ar1(da) == pytest.approx(estimate_ar1(db), abs=1e-9)
 
@@ -225,9 +217,9 @@ class TestInvariances:
         x = rng.normal(5, 1, 20)
         a = 3.0
         cfg = ChangepointConfiguration((9,))
-        d1 = detrend(_ts(x), fitted_mean(cfg, fit_mean_shift(_ts(x), cfg), None, 20))
-        d2 = detrend(
-            _ts(a * x), fitted_mean(cfg, fit_mean_shift(_ts(a * x), cfg), None, 20)
+        d1 = _ts(x).values - fitted_mean(cfg, fit_mean_shift(_ts(x), cfg), None, 20)
+        d2 = _ts(a * x).values - fitted_mean(
+            cfg, fit_mean_shift(_ts(a * x), cfg), None, 20
         )
         phi1, phi2 = estimate_ar1(d1), estimate_ar1(d2)
         assert phi1 == pytest.approx(phi2, abs=1e-12)

@@ -348,6 +348,18 @@ class TestCliFit:
         assert captured.out == ""
         assert f"{model} is scored with wn errors only" in captured.err
 
+    @pytest.mark.parametrize("model,errors", [
+        ("mean-shift", "ar1"),
+        ("trend-shift", "ar1"),
+        ("fixed-slope", "ar1"),
+        ("variance-shift", "wn"),
+        ("joinpin", "wn"),
+        ("long-memory", "wn"),
+    ])
+    def test_default_error_model(self, csv_file, capsys, model, errors):
+        assert main(_fit_args(csv_file, "--model", model, "--out", "json")) == 0
+        assert json.loads(capsys.readouterr().out)["errors"] == errors
+
     def test_missing_input_exits_2(self, tmp_path, capsys):
         assert main(["fit", "--input", str(tmp_path / "nope.csv"),
                      "--format", "csv", "--model", "mean-shift"]) == 2

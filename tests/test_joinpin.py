@@ -87,7 +87,6 @@ class TestFitJoinpin:
         expected_n2ll = fit.rss / 0.5 + 15 * math.log(0.5) + 15 * LOG_2PI
         assert fit.neg2loglik == pytest.approx(expected_n2ll, abs=1e-10)
         assert fit.bic_score == pytest.approx(fit.neg2loglik + 4.0 * 1, abs=1e-12)
-        assert fit.sort_key() == (fit.bic_score, 1, (8,))
 
     def test_default_penalty_is_three_log_n(self):
         series = _series(13, 15)

@@ -136,7 +136,6 @@ class TestFitArfima:
             assert fit.bic_score == pytest.approx(
                 fit.neg2loglik + k * math.log(100), abs=1e-10
             )
-            assert fit.sort_key() == (fit.bic_score, p)
 
     def test_mu_is_sample_mean(self):
         series = _lm_data(104, 90, 0.1)

@@ -20,7 +20,6 @@ from cetseg.penalties import PenaltyContext, penalty_value
 from cetseg.search import (
     EXHAUSTIVE_MAX_N,
     GAParams,
-    MIN_SEGMENT_LENGTH,
     _bit_matrix,
     _enumerate_configs,
     _model_fitness,
@@ -72,7 +71,7 @@ def _segmentations(n, min_len):
 def brute_force_best(series, model):
     """Argmin over _segmentations with the package's tie-break, scored by
     direct evaluate calls."""
-    min_len = MIN_SEGMENT_LENGTH[model.mean_structure]
+    min_len = min_segment_length(model)
     best = None
     for taus in _segmentations(series.n, min_len):
         try:
@@ -316,6 +315,37 @@ class TestGA:
             return fitness(configs)
 
         return scored, ga_minimize(recording, 80, 3, params, initial=initial)
+
+    @pytest.mark.parametrize("rule", ["constant", "one-boundary", "fewer-boundaries-first"])
+    def test_ties_break_by_m_then_boundaries(self, rule):
+        # The winner is the least (score, m, taus) over every tuple scored.
+        n = 30
+        score_of = {
+            "constant": lambda taus: 0.0,
+            "one-boundary": lambda taus: float(len(taus) != 1),
+            # two-boundary tuples tie with late one-boundary tuples, and most
+            # of them sort first on their boundaries alone
+            "fewer-boundaries-first": lambda taus: float(
+                not (len(taus) == 2 or (len(taus) == 1 and taus[0] >= n // 2))
+            ),
+        }[rule]
+        scored = {}
+
+        def recording(configs):
+            scores = [score_of(taus) for taus in configs]
+            scored.update(zip(configs, scores))
+            return scores
+
+        params = GAParams(population_size=40, max_generations=30, seed=3)
+        taus = ga_minimize(recording, n, 2, params).taus
+        assert taus == min(scored, key=lambda t: (scored[t], len(t), t))
+        ties = [t for t, score in scored.items() if score == 0.0]
+        if rule == "constant":
+            assert taus == ()
+        else:
+            assert taus == min(t for t in ties if len(t) == 1)
+        if rule == "fewer-boundaries-first":
+            assert min(ties) < taus
 
     def test_crossover_only_recombines_initial_boundaries(self):
         # the parent matrix must map each ranked individual to its own bits
