@@ -19,7 +19,7 @@ import math
 from dataclasses import dataclass, field
 from enum import Enum
 from itertools import chain
-from typing import Sequence
+from typing import ClassVar, Sequence
 
 import numpy as np
 
@@ -113,14 +113,6 @@ class TimeSeries:
         if not 1 <= t <= self.n:
             raise DomainError(f"time index {t} outside 1..{self.n}")
         return self.first_year + t - 1
-
-    def index_of(self, year: int) -> int:
-        """Time index (1-based) of a calendar year."""
-        if not self.first_year <= year <= self.last_year:
-            raise DomainError(
-                f"year {year} outside {self.first_year}..{self.last_year}"
-            )
-        return year - self.first_year + 1
 
     def restrict(self, from_year: int | None = None, to_year: int | None = None) -> "TimeSeries":
         """Return the sub-series covering ``from_year..to_year`` inclusive."""
@@ -344,14 +336,22 @@ class ModelSpec:
 class FitResult:
     """A scored fit of one model at one changepoint configuration.
 
+    The one result type of every family: joinpin and long-memory fits
+    are subclasses that add the fields only they have, and list them in
+    ``extra_keys``, the names serialization reports besides the common
+    ones.
+
     ``score`` is always ``neg2loglik + penalty_value``; it is computed
     here rather than accepted, so the identity holds exactly.
 
     ``means`` and ``slopes`` hold one entry per regime where the mean
     structure defines them (``slopes`` is ``None`` for pure mean
-    shifts).  ``regime_variances`` is populated only for variance-shift
-    fits, where it holds the per-regime error variances.
+    shifts); each regime's mean at time ``t`` is ``means[i] +
+    slopes[i] * t``.  ``regime_variances`` is populated only for
+    variance-shift fits, where it holds the per-regime error variances.
     """
+
+    extra_keys: ClassVar[tuple[str, ...]] = ()
 
     model: ModelSpec
     config: ChangepointConfiguration

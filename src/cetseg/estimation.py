@@ -15,7 +15,6 @@ directly.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -37,7 +36,6 @@ __all__ = [
     "estimate_ar1",
     "innovation_variance",
     "gaussian_neg2loglik",
-    "VarianceRegimeFit",
     "fit_variance_shift",
 ]
 
@@ -195,18 +193,9 @@ def gaussian_neg2loglik(sigma2: float, n: int) -> float:
     return n * (math.log(sigma2) + 1.0 + LOG_2PI)
 
 
-@dataclass(frozen=True)
-class VarianceRegimeFit:
-    """Per-regime error variances of a residual series, with likelihood."""
-
-    config: ChangepointConfiguration
-    variances: tuple[float, ...]
-    neg2loglik: float
-
-
 def fit_variance_shift(
     residuals: np.ndarray, config: ChangepointConfiguration
-) -> VarianceRegimeFit:
+) -> tuple[tuple[float, ...], float]:
     """Fit regime-wise variances to a (zero-mean) residual series.
 
     Each regime's variance is the mean square of its residuals.  The
@@ -214,6 +203,11 @@ def fit_variance_shift(
     regime's variance:
 
         -2 log L = sum_k len_k * log(v_k) + N log 2 pi + N.
+
+    Returns
+    -------
+    (variances, neg2loglik)
+        One variance per regime, and -2 log L.
 
     Raises
     ------
@@ -234,4 +228,4 @@ def fit_variance_shift(
             raise DegenerateFitError("a regime has zero residual variance")
         variances.append(v)
         n2ll += ds.size * math.log(v)
-    return VarianceRegimeFit(config, tuple(variances), n2ll)
+    return tuple(variances), n2ll

@@ -7,8 +7,10 @@ missing values coded -99.9 / -99.99) and plain two-column CSV
 consecutive years and fail hard on malformed rows, naming the line.
 
 Serialization keeps one JSON shape for every model family (schema
-shipped in ``schemas/result.schema.json``); dumps are key-sorted so
-identical results are byte-identical.
+shipped in ``schemas/result.schema.json``), read from the fields every
+:class:`~cetseg.core.FitResult` has plus the family's own
+``extra_keys``; dumps are key-sorted so identical results are
+byte-identical.
 """
 
 from __future__ import annotations
@@ -19,18 +21,8 @@ import json
 import warnings
 from typing import Any
 
-import numpy as np
-
-from .core import (
-    ChangepointConfiguration,
-    DataError,
-    DomainError,
-    FitResult,
-    TimeSeries,
-)
+from .core import DataError, DomainError, FitResult, TimeSeries
 from .estimation import fitted_mean
-from .joinpin import JoinpinFit
-from .longmemory import ArfimaFit
 from .search import GAParams
 
 __all__ = [
@@ -190,101 +182,54 @@ def _ga_params_dict(params: GAParams | None) -> dict[str, Any] | None:
     }
 
 
-def _segments(series: TimeSeries, config: ChangepointConfiguration,
-              lines: list[tuple[float | None, float | None]],
-              variances: tuple[float, ...] | None = None) -> list[dict[str, Any]]:
-    bounds = config.boundaries(series.n)
+def _segments(fit: FitResult, series: TimeSeries) -> list[dict[str, Any]]:
+    """One entry per regime; none for a family without regimes."""
+    if fit.model.family.min_len is None:
+        return []
+    bounds = fit.config.boundaries(series.n)
     segments = []
     for i in range(len(bounds) - 1):
         seg: dict[str, Any] = {
             "start_year": series.first_year + bounds[i],
             "end_year": series.first_year + bounds[i + 1] - 1,
-            "intercept": lines[i][0],
-            "slope": lines[i][1],
+            "intercept": None if fit.means is None else fit.means[i],
+            "slope": None if fit.slopes is None else fit.slopes[i],
         }
-        if variances is not None:
-            seg["variance"] = variances[i]
+        if fit.regime_variances is not None:
+            seg["variance"] = fit.regime_variances[i]
         segments.append(seg)
     return segments
 
 
 def result_to_dict(
-    fit: FitResult | JoinpinFit | ArfimaFit,
+    fit: FitResult,
     series: TimeSeries,
     seed: int | None,
     ga_params: GAParams | None,
 ) -> dict[str, Any]:
     """One JSON-ready dict per fitted model, same shape for every family."""
-    base: dict[str, Any] = {
+    out: dict[str, Any] = {
         "seed": seed,
         "ga_params": _ga_params_dict(ga_params),
         "input": {"first_year": series.first_year, "last_year": series.last_year,
                   "n": series.n},
+        "model": fit.model.mean_structure.value,
+        "errors": fit.model.error_model.value,
+        "penalty": fit.model.penalty.value,
+        "changepoint_years": list(fit.changepoint_years(series)),
+        "segments": _segments(fit, series),
+        "phi_hat": fit.phi_hat,
+        "sigma2_hat": fit.sigma2_hat,
+        "loglik": fit.loglik,
+        "penalty_value": fit.penalty_value,
+        "score": fit.score,
     }
-    if isinstance(fit, FitResult):
-        config = fit.config
-        if fit.means is not None:
-            lines = [(fit.means[i], None if fit.slopes is None else fit.slopes[i])
-                     for i in range(config.m + 1)]
-        else:
-            lines = [(None, None)] * (config.m + 1)
-        base.update({
-            "model": fit.model.mean_structure.value,
-            "errors": fit.model.error_model.value,
-            "penalty": fit.model.penalty.value,
-            "changepoint_years": list(fit.changepoint_years(series)),
-            "segments": _segments(series, config, lines, fit.regime_variances),
-            "phi_hat": fit.phi_hat,
-            "sigma2_hat": fit.sigma2_hat,
-            "loglik": fit.loglik,
-            "penalty_value": fit.penalty_value,
-            "score": fit.score,
-        })
-    elif isinstance(fit, JoinpinFit):
-        lines = list(fit.segment_lines())
-        base.update({
-            "model": "joinpin",
-            "errors": "wn",
-            "penalty": "bic",
-            "changepoint_years": [series.first_year + tau for tau in fit.config.taus],
-            "segments": _segments(series, fit.config, lines),
-            "phi_hat": None,
-            "sigma2_hat": None,
-            "sigma2_fixed": fit.sigma2_fixed,
-            "knot_penalty": fit.knot_penalty,
-            "rss": fit.rss,
-            "loglik": -0.5 * fit.neg2loglik,
-            "penalty_value": fit.knot_penalty * fit.config.m,
-            "score": fit.bic_score,
-        })
-    elif isinstance(fit, ArfimaFit):
-        base.update({
-            "model": "long-memory",
-            "errors": "ar1" if fit.p == 1 else "wn",
-            "penalty": "bic",
-            "changepoint_years": [],
-            "segments": [],
-            "phi_hat": fit.phi,
-            "sigma2_hat": fit.sigma2,
-            "p": fit.p,
-            "d": fit.d,
-            "mu": fit.mu,
-            "hit_boundary": fit.hit_boundary,
-            "loglik": -0.5 * fit.neg2loglik,
-            "penalty_value": fit.bic_score - fit.neg2loglik,
-            "score": fit.bic_score,
-        })
-    else:
-        raise DomainError(f"cannot serialize {type(fit).__name__}")
-    return base
+    out.update((key, getattr(fit, key)) for key in fit.extra_keys)
+    return out
 
 
-def fitted_values_of(fit: FitResult | JoinpinFit | ArfimaFit, series: TimeSeries):
+def fitted_values_of(fit: FitResult, series: TimeSeries):
     """Mean-function values at every t, for plots and decomposition CSV."""
-    if isinstance(fit, JoinpinFit):
-        return fit.fitted
-    if isinstance(fit, ArfimaFit):
-        return np.full(series.n, fit.mu)
     if fit.means is None:
         raise DomainError(f"{fit.model.label()} has no mean function")
     return fitted_mean(fit.config, fit.means, fit.slopes, series.n)

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
@@ -26,7 +27,9 @@ from .core import (
     FAMILIES,
     ChangepointConfiguration,
     DomainError,
+    FitResult,
     MeanStructure,
+    ModelSpec,
     TimeSeries,
 )
 from .estimation import LOG_2PI
@@ -35,6 +38,7 @@ from .search import GAParams, check_refit, ga_minimize
 
 __all__ = ["JoinpinFit", "fit_joinpin", "joinpin_search", "default_knot_penalty"]
 
+_MODEL = ModelSpec(MeanStructure.JOINPIN, "wn", "bic")
 _MIN_SEG = FAMILIES[MeanStructure.JOINPIN].min_len
 
 
@@ -44,46 +48,26 @@ def default_knot_penalty(n: int) -> float:
     return 3.0 * math.log(n)
 
 
-@dataclass(frozen=True)
-class JoinpinFit:
+@dataclass(frozen=True, kw_only=True)
+class JoinpinFit(FitResult):
     """A continuous piecewise-linear fit at one knot configuration.
 
-    ``knot_values`` are the fitted mean ordinates at the knots;
-    ``fitted`` is the mean function evaluated at every ``t = 1..N``.
-    The fitted function is continuous at every knot by construction.
+    ``means`` and ``slopes`` are each regime's line on the global time
+    axis; adjacent lines meet at their knot.  The fit also keeps the
+    error variance its likelihood was evaluated at, the charge per
+    knot (``penalty_value = knot_penalty * m``) and its residual sum of
+    squares.
     """
 
-    config: ChangepointConfiguration
-    knot_values: tuple[float, ...]
-    fitted: np.ndarray
-    rss: float
-    neg2loglik: float
-    bic_score: float
     sigma2_fixed: float
     knot_penalty: float
-    coefficients: tuple[float, ...]
+    rss: float
 
-    def __post_init__(self):
-        fitted = np.asarray(self.fitted, dtype=np.float64).copy()
-        fitted.flags.writeable = False
-        object.__setattr__(self, "fitted", fitted)
+    extra_keys: ClassVar[tuple[str, ...]] = ("sigma2_fixed", "knot_penalty", "rss")
 
-    def segment_lines(self) -> tuple[tuple[float, float], ...]:
-        """Per-regime (intercept, slope) of the continuous fit on the
-        global time axis.
-
-        Each hinge coefficient adds to the slope past its knot; the
-        intercept is adjusted so adjacent lines meet at the knot.
-        """
-        lines = []
-        intercept, slope = self.coefficients[0], self.coefficients[1]
-        lines.append((intercept, slope))
-        for i, tau in enumerate(self.config.taus):
-            gain = self.coefficients[2 + i]
-            slope += gain
-            intercept -= gain * tau
-            lines.append((intercept, slope))
-        return tuple(lines)
+    @property
+    def bic_score(self) -> float:
+        return self.score
 
 
 def _design(taus: tuple[int, ...], n: int) -> np.ndarray:
@@ -94,21 +78,19 @@ def _design(taus: tuple[int, ...], n: int) -> np.ndarray:
 
 
 def _least_squares(values: np.ndarray, taus: tuple[int, ...]):
-    """Hinge-basis coefficients, fitted values and residual sum of squares."""
+    """Hinge-basis coefficients and residual sum of squares."""
     X = _design(taus, values.size)
     coef, _, rank, _ = np.linalg.lstsq(X, values, rcond=None)
     if rank < X.shape[1]:
         raise DomainError(f"singular hinge design for knots {taus}")
-    fitted = X @ coef
-    resid = values - fitted
-    return coef, fitted, float(np.dot(resid, resid))
+    resid = values - X @ coef
+    return coef, float(np.dot(resid, resid))
 
 
-def _scores(rss: float, n: int, m: int, sigma2: float, knot_penalty: float) -> tuple[float, float]:
-    """-2 log likelihood at the fixed variance, and the BIC-style score
-    (element-wise for arrays of ``rss`` and ``m``)."""
-    n2ll = rss / sigma2 + n * math.log(sigma2) + n * LOG_2PI
-    return n2ll, n2ll + knot_penalty * m
+def _neg2loglik(rss, n: int, sigma2: float):
+    """-2 log likelihood at the fixed variance (element-wise for an
+    array of ``rss``)."""
+    return rss / sigma2 + n * math.log(sigma2) + n * LOG_2PI
 
 
 def fit_joinpin(
@@ -140,23 +122,25 @@ def fit_joinpin(
         raise DomainError("sigma2_fixed must be positive")
     if knot_penalty is None:
         knot_penalty = default_knot_penalty(n)
-    coef, fitted, rss = _least_squares(series.values, config.taus)
-    n2ll, bic = _scores(rss, n, config.m, sigma2_fixed, knot_penalty)
-    knot_values = tuple(
-        float(coef[0] + coef[1] * tau + sum(coef[2 + j] * max(0, tau - tj)
-                                            for j, tj in enumerate(config.taus)))
-        for tau in config.taus
-    )
+    coef, rss = _least_squares(series.values, config.taus)
+    # Each hinge coefficient adds to the slope past its knot; the
+    # intercept moves so that adjacent lines meet at the knot.
+    intercept, slope, *gains = map(float, coef)
+    means, slopes = [intercept], [slope]
+    for tau, gain in zip(config.taus, gains):
+        slopes.append(slopes[-1] + gain)
+        means.append(means[-1] - gain * tau)
+    knot_penalty = float(knot_penalty)
     return JoinpinFit(
+        model=_MODEL,
         config=config,
-        knot_values=knot_values,
-        fitted=fitted,
-        rss=rss,
-        neg2loglik=n2ll,
-        bic_score=bic,
+        neg2loglik=_neg2loglik(rss, n, sigma2_fixed),
+        penalty_value=knot_penalty * config.m,
+        means=tuple(means),
+        slopes=tuple(slopes),
         sigma2_fixed=float(sigma2_fixed),
-        knot_penalty=float(knot_penalty),
-        coefficients=tuple(float(c) for c in coef),
+        knot_penalty=knot_penalty,
+        rss=rss,
     )
 
 
@@ -191,14 +175,14 @@ def joinpin_search(
         rss = fast_rss(configs)
         for i in np.flatnonzero(np.isnan(rss)).tolist():
             try:
-                _, _, rss[i] = _least_squares(series.values, configs[i])
+                _, rss[i] = _least_squares(series.values, configs[i])
             except DomainError:
                 # Repair guarantees segment lengths, so only singularity lands here.
                 rss[i] = math.inf
         m = np.fromiter(map(len, configs), np.intp, len(configs))
-        return _scores(rss, n, m, sigma2_fixed, kp)[1].tolist()
+        return (_neg2loglik(rss, n, sigma2_fixed) + kp * m).tolist()
 
     run = ga_minimize(fitness, n, _MIN_SEG, params, max_m=max_m)
     fit = fit_joinpin(series, ChangepointConfiguration(run.taus), sigma2_fixed, knot_penalty)
-    check_refit("joinpin", run.taus, run.score, fit.bic_score)
+    check_refit("joinpin", run.taus, run.score, fit.score)
     return fit

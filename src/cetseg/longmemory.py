@@ -11,10 +11,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
-from .core import DomainError, TimeSeries
+from .core import ChangepointConfiguration, DomainError, FitResult, ModelSpec, TimeSeries
 from .estimation import gaussian_neg2loglik
 
 __all__ = ["ArfimaFit", "frac_diff", "fit_arfima"]
@@ -28,12 +29,13 @@ _COARSE_POINTS = 41
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 
-@dataclass(frozen=True)
-class ArfimaFit:
-    """A fitted long-memory model.
+@dataclass(frozen=True, kw_only=True)
+class ArfimaFit(FitResult):
+    """A fitted long-memory model: no changepoints, one mean ``mu``.
 
-    ``probes`` is the optimizer's audit trail: every (d, css) pair
-    evaluated, ending in a pair whose css is the minimum of them all.
+    ``p`` is the AR order and ``d`` the memory parameter.  ``probes``
+    is the optimizer's audit trail: every (d, css) pair evaluated,
+    ending in a pair whose css is the minimum of them all.
     ``hit_boundary`` flags an estimate pinned at the edge of the
     admissible memory range, where the model degenerates to short
     memory (lower edge) or non-stationarity (upper edge).
@@ -41,13 +43,18 @@ class ArfimaFit:
 
     p: int
     d: float
-    phi: float | None
-    mu: float
-    sigma2: float
-    neg2loglik: float
-    bic_score: float
     hit_boundary: bool
     probes: tuple[tuple[float, float], ...]
+
+    extra_keys: ClassVar[tuple[str, ...]] = ("p", "d", "mu", "hit_boundary")
+
+    @property
+    def mu(self) -> float:
+        return self.means[0]
+
+    @property
+    def bic_score(self) -> float:
+        return self.score
 
 
 def frac_diff(values, d: float, truncation_lag: int) -> np.ndarray:
@@ -97,9 +104,9 @@ def fit_arfima(series: TimeSeries, p: int, truncation_lag: int | None = None) ->
     d is the best evaluated point, so it minimizes the CSS over the
     whole audit trail by construction.
 
-    ``bic_score = neg2loglik + k log N`` where k charges one parameter
-    each for the memory parameter, the innovation variance, the series
-    mean, and (when p = 1) the AR coefficient.
+    ``penalty_value = k log N`` where k charges one parameter each for
+    the memory parameter, the innovation variance, the series mean, and
+    (when p = 1) the AR coefficient.
 
     Raises
     ------
@@ -147,16 +154,16 @@ def fit_arfima(series: TimeSeries, p: int, truncation_lag: int | None = None) ->
     d_hat, css_min = min(probes, key=lambda pv: (pv[1], pv[0]))
     _, phi_hat = _css(frac_diff(x, d_hat, truncation_lag), p)
     sigma2 = css_min / n
-    n2ll = gaussian_neg2loglik(sigma2, n)
-    k = 3 + p
     return ArfimaFit(
+        model=ModelSpec("long-memory", "ar1" if p else "wn", "bic"),
+        config=ChangepointConfiguration(),
+        neg2loglik=gaussian_neg2loglik(sigma2, n),
+        penalty_value=(3 + p) * math.log(n),
+        means=(mu,),
+        phi_hat=phi_hat,
+        sigma2_hat=sigma2,
         p=p,
         d=d_hat,
-        phi=phi_hat,
-        mu=mu,
-        sigma2=sigma2,
-        neg2loglik=n2ll,
-        bic_score=n2ll + k * math.log(n),
         hit_boundary=(d_hat <= _D_LO + _BOUNDARY_MARGIN or d_hat >= _D_HI - _BOUNDARY_MARGIN),
         probes=tuple(probes),
     )

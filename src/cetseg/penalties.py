@@ -20,7 +20,6 @@ parameters.  The empty configuration has MDL 0 by convention.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -34,21 +33,7 @@ from .core import (
     Regimes,
 )
 
-__all__ = ["PenaltyContext", "penalty_function", "penalty_value"]
-
-
-@dataclass(frozen=True)
-class PenaltyContext:
-    """Everything a penalty depends on: the model, N, and the configuration."""
-
-    model: ModelSpec
-    n: int
-    config: ChangepointConfiguration
-
-    def __post_init__(self):
-        if self.n < 1:
-            raise DomainError("series length must be >= 1")
-        self.config._check_n(self.n)
+__all__ = ["penalty_function", "penalty_value"]
 
 
 def penalty_function(model: ModelSpec, n: int) -> Callable[[Regimes], np.ndarray]:
@@ -86,13 +71,17 @@ def penalty_function(model: ModelSpec, n: int) -> Callable[[Regimes], np.ndarray
     return mdl
 
 
-def penalty_value(ctx: PenaltyContext) -> float:
-    """Penalty charged for the model and configuration in ``ctx``.
+def penalty_value(model: ModelSpec, n: int, config: ChangepointConfiguration) -> float:
+    """Penalty charged for ``model`` at ``config`` on a series of length ``n``.
 
     Raises
     ------
     DomainError
-        For model families that carry their own scoring rule.
+        If ``n < 1`` or a changepoint is not interior to the series, and
+        for model families that carry their own scoring rule.
     """
-    [value] = penalty_function(ctx.model, ctx.n)(Regimes([ctx.config.taus], ctx.n))
+    if n < 1:
+        raise DomainError("series length must be >= 1")
+    config._check_n(n)
+    [value] = penalty_function(model, n)(Regimes([config.taus], n))
     return float(value)

@@ -1,22 +1,24 @@
 """Static SVG plots: the series with its fitted mean structure overlaid.
 
-Rendering is deliberately dependency-free.  Fitted structure is drawn
-with one element per visual object so the output is inspectable:
-discontinuous fits get one ``fitted-segment`` polyline per regime
-(jumps stay visible as gaps between polylines), the continuous
-piecewise-linear fit is a single ``fitted-joinpin`` polyline, and a
-constant long-memory mean is a single ``fitted-mean`` line.
-Changepoints are marked with dashed ``boundary`` rules.
+Rendering is deliberately dependency-free.  The overlay is the fit's
+mean function, evaluated from the regime lines every
+:class:`~cetseg.core.FitResult` carries, and drawn with one element
+per visual object so the output is inspectable; the model's mean
+structure picks the style.  Discontinuous fits get one
+``fitted-segment`` polyline per regime (jumps stay visible as gaps
+between polylines), the continuous piecewise-linear fit is a single
+``fitted-joinpin`` polyline through its knots, and a constant
+long-memory mean is a single ``fitted-mean`` line.  A fit without a
+mean function (variance shifts) draws no overlay.  Changepoints are
+marked with dashed ``boundary`` rules.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .core import DomainError, FitResult, TimeSeries
+from .core import FitResult, MeanStructure, TimeSeries
 from .estimation import fitted_mean
-from .joinpin import JoinpinFit
-from .longmemory import ArfimaFit
 
 __all__ = ["render_svg", "emit_plot"]
 
@@ -82,32 +84,33 @@ def _axes(frame: _Frame) -> list[str]:
     return parts
 
 
-def _fit_overlay(series: TimeSeries, fit, frame: _Frame) -> list[str]:
+# Mean structures drawn as one polyline through the series' ends and the
+# knots, by class; every other one gets a polyline per regime.
+_CONTINUOUS = {
+    MeanStructure.JOINPIN: "fitted-joinpin",
+    MeanStructure.LONG_MEMORY: "fitted-mean",
+}
+
+
+def _fit_overlay(series: TimeSeries, fit: FitResult, frame: _Frame) -> list[str]:
     parts = []
     n = series.n
+    taus = fit.config.taus
 
     def year(t: float) -> float:
         return series.first_year + t - 1
 
-    if isinstance(fit, JoinpinFit):
-        knots = [1.0, *map(float, fit.config.taus), float(n)]
-        f = fit.fitted
-        pts = [(frame.x(year(t)), frame.y(f[int(t) - 1])) for t in knots]
-        parts.append(_polyline(pts, "fitted-joinpin", "stroke:#c22;stroke-width:2"))
-        taus = fit.config.taus
-    elif isinstance(fit, ArfimaFit):
-        pts = [(frame.x(frame.y0), frame.y(fit.mu)), (frame.x(frame.y1), frame.y(fit.mu))]
-        parts.append(_polyline(pts, "fitted-mean", "stroke:#c22;stroke-width:2"))
-        taus = ()
-    elif isinstance(fit, FitResult):
-        taus = fit.config.taus
-        if fit.means is not None:
-            f = fitted_mean(fit.config, fit.means, fit.slopes, n)
-            for a, b in zip((0, *taus), (*taus, n)):
-                pts = [(frame.x(year(t)), frame.y(f[t - 1])) for t in (a + 1, b)]
-                parts.append(_polyline(pts, "fitted-segment", "stroke:#c22;stroke-width:2"))
-    else:
-        raise DomainError(f"cannot plot {type(fit).__name__}")
+    if fit.means is not None:
+        f = fitted_mean(fit.config, fit.means, fit.slopes, n)
+        cls = _CONTINUOUS.get(fit.model.mean_structure)
+        if cls is not None:
+            runs = [(1, *taus, n)]
+        else:
+            cls = "fitted-segment"
+            runs = [(a + 1, b) for a, b in zip((0, *taus), (*taus, n))]
+        for run in runs:
+            pts = [(frame.x(year(t)), frame.y(f[t - 1])) for t in run]
+            parts.append(_polyline(pts, cls, "stroke:#c22;stroke-width:2"))
 
     for tau in taus:
         x = _fmt(frame.x(year(tau + 0.5)))
@@ -118,7 +121,7 @@ def _fit_overlay(series: TimeSeries, fit, frame: _Frame) -> list[str]:
     return parts
 
 
-def render_svg(series: TimeSeries, fit, title: str | None = None) -> str:
+def render_svg(series: TimeSeries, fit: FitResult, title: str | None = None) -> str:
     """Render the series with its fit to an SVG string."""
     frame = _Frame(series)
     parts = [
@@ -141,7 +144,7 @@ def render_svg(series: TimeSeries, fit, title: str | None = None) -> str:
     return "\n".join(parts) + "\n"
 
 
-def emit_plot(series: TimeSeries, fit, path: str, title: str | None = None) -> None:
+def emit_plot(series: TimeSeries, fit: FitResult, path: str, title: str | None = None) -> None:
     """Write the rendered SVG to ``path``."""
     svg = render_svg(series, fit, title)
     with open(path, "w", encoding="utf-8") as fh:

@@ -45,7 +45,7 @@ from .core import (
     TimeSeries,
 )
 from .fastscore import score_function
-from .penalties import PenaltyContext, penalty_value
+from .penalties import penalty_value
 
 __all__ = [
     "min_segment_length",
@@ -103,11 +103,11 @@ def evaluate(series: TimeSeries, model: ModelSpec, config: ChangepointConfigurat
     n = series.n
     config.validate_for(n, min_segment_length(model))
     ms = model.mean_structure
-    pen = penalty_value(PenaltyContext(model, n, config))
+    pen = penalty_value(model, n, config)
 
     if ms is MeanStructure.VARIANCE_SHIFT:
-        vfit = estimation.fit_variance_shift(series.values, config)
-        return FitResult(model, config, vfit.neg2loglik, pen, regime_variances=vfit.variances)
+        variances, n2ll = estimation.fit_variance_shift(series.values, config)
+        return FitResult(model, config, n2ll, pen, regime_variances=variances)
 
     if ms is MeanStructure.MEAN_SHIFT:
         means = estimation.fit_mean_shift(series, config)

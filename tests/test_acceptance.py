@@ -122,11 +122,12 @@ def test_criterion_07_joinpin_flags_1972_and_is_continuous(cet_series):
     fit = joinpin_search(cet_series, sigma2_fixed=0.29, params=GAParams(seed=0))
     years = tuple(cet_series.first_year + tau for tau in fit.config.taus)
     assert years == (1972,)
-    lines = fit.segment_lines()
-    for tau, (left, right) in zip(fit.config.taus, zip(lines, lines[1:])):
-        at_left = left[0] + left[1] * tau
-        at_right = right[0] + right[1] * tau
+    fitted = fitted_values_of(fit, cet_series)
+    for i, tau in enumerate(fit.config.taus):
+        at_left = fit.means[i] + fit.slopes[i] * tau
+        at_right = fit.means[i + 1] + fit.slopes[i + 1] * tau
         assert abs(at_left - at_right) <= 1e-9
+        assert abs(fitted[tau - 1] - at_left) <= 1e-9
     # flagged year must not depend on the exact error-variance plug-in
     for factor in (0.8, 1.2):
         wobble = joinpin_search(
@@ -279,7 +280,7 @@ def test_criterion_11_same_seed_byte_identical_json(tmp_path):
 CANONICAL_OUTPUTS = {
     "compare": (
         ["compare", "--out", "json", "--generations", "40", "--seed", "1"],
-        "cd2495feaf1e80800006285050e1a8a4597e6c345beea1aec854df1854caeec1",
+        "fcd196b3634850b537c1c2d71af350ee9f74eca8af91863f968a3616022ce39f",
     ),
     "fit": (
         ["fit", "--model", "trend-shift", "--errors", "wn", "--penalty", "mdl",

@@ -19,14 +19,7 @@ class TestTimeSeries:
         assert ts.year_of(1) == 1659
         assert ts.year_of(42) == 1700
         assert ts.year_of(362) == 2020
-        assert ts.index_of(1700) == 42
-        assert ts.index_of(1659) == 1
         assert ts.last_year == 2020
-
-    def test_index_roundtrip(self):
-        ts = TimeSeries(1900, np.arange(50.0))
-        for t in range(1, ts.n + 1):
-            assert ts.index_of(ts.year_of(t)) == t
 
     def test_out_of_range(self):
         ts = TimeSeries(2000, [1.0, 2.0])
@@ -34,8 +27,6 @@ class TestTimeSeries:
             ts.year_of(0)
         with pytest.raises(DomainError):
             ts.year_of(3)
-        with pytest.raises(DomainError):
-            ts.index_of(1999)
 
     def test_rejects_bad_values(self):
         with pytest.raises(DomainError):

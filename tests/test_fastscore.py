@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from cetseg import ChangepointConfiguration, DegenerateFitError, ModelSpec, TimeSeries
 from cetseg.fastscore import joinpin_rss, score_function
-from cetseg.joinpin import _scores, default_knot_penalty, fit_joinpin, joinpin_search
+from cetseg.joinpin import _neg2loglik, default_knot_penalty, fit_joinpin, joinpin_search
 from cetseg.search import (
     REFIT_RTOL,
     GAParams,
@@ -152,7 +152,7 @@ def test_winner_whose_refit_disagrees_raises(monkeypatch):
 
 
 def _joinpin_score(series, taus, rss, sigma2):
-    return _scores(rss, series.n, len(taus), sigma2, default_knot_penalty(series.n))[1]
+    return _neg2loglik(rss, series.n, sigma2) + default_knot_penalty(series.n) * len(taus)
 
 
 @st.composite

@@ -1,4 +1,5 @@
 import json
+import math
 from importlib.resources import files
 
 import jsonschema
@@ -200,6 +201,9 @@ class TestResultSerialization:
         assert doc["model"] == "long-memory"
         assert doc["errors"] == "ar1"
         assert doc["changepoint_years"] == []
+        assert doc["segments"] == []
+        assert doc["penalty_value"] == 4 * math.log(60)
+        assert doc["score"] == doc["penalty_value"] - 2 * doc["loglik"]
 
     def test_dumps_json_is_canonical(self):
         text = dumps_json({"b": 1, "a": [1.5, None]})

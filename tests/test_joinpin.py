@@ -6,10 +6,12 @@ import pytest
 
 from conftest import lean_ga
 
-from cetseg import ChangepointConfiguration, DomainError, TimeSeries
+from cetseg import ChangepointConfiguration, DomainError, FitResult, TimeSeries
 from cetseg.estimation import LOG_2PI
+from cetseg.io import fitted_values_of
 from cetseg.joinpin import (
-    JoinpinFit,
+    _design,
+    _least_squares,
     default_knot_penalty,
     fit_joinpin,
     joinpin_search,
@@ -34,40 +36,53 @@ class TestFitJoinpin:
         series = TimeSeries(1900, np.abs(t - 6.0))
         fit = fit_joinpin(series, ChangepointConfiguration((6,)), sigma2_fixed=0.29)
         assert fit.rss == pytest.approx(0.0, abs=1e-18)
-        assert fit.knot_values[0] == pytest.approx(0.0, abs=1e-9)
-        np.testing.assert_allclose(fit.fitted, series.values, atol=1e-9)
-        (a0, b0), (a1, b1) = fit.segment_lines()
-        assert (b0, b1) == pytest.approx((-1.0, 1.0), abs=1e-9)
-        assert a0 == pytest.approx(6.0, abs=1e-9)
+        fitted = fitted_values_of(fit, series)
+        assert fitted[5] == pytest.approx(0.0, abs=1e-9)
+        np.testing.assert_allclose(fitted, series.values, atol=1e-9)
+        assert fit.slopes == pytest.approx((-1.0, 1.0), abs=1e-9)
+        assert fit.means[0] == pytest.approx(6.0, abs=1e-9)
 
     def test_no_knots_reduces_to_ols(self):
         series = _series(1, 20)
         fit = fit_joinpin(series, ChangepointConfiguration(()), sigma2_fixed=1.0)
         slope, intercept = np.polyfit(np.arange(1.0, 21.0), series.values, 1)
         line = intercept + slope * np.arange(1.0, 21.0)
-        np.testing.assert_allclose(fit.fitted, line, atol=1e-9)
-        assert fit.coefficients == pytest.approx((intercept, slope), abs=1e-9)
+        np.testing.assert_allclose(fitted_values_of(fit, series), line, atol=1e-9)
+        assert fit.means + fit.slopes == pytest.approx((intercept, slope), abs=1e-9)
 
     @pytest.mark.parametrize("seed,taus", [(2, (5,)), (3, (4, 9)), (4, (3, 8, 14))])
     def test_continuous_at_every_knot(self, seed, taus):
         series = _series(seed, 18)
         fit = fit_joinpin(series, ChangepointConfiguration(taus), sigma2_fixed=0.7)
-        lines = fit.segment_lines()
+        fitted = fitted_values_of(fit, series)
         for i, tau in enumerate(taus):
-            left = lines[i][0] + lines[i][1] * tau
-            right = lines[i + 1][0] + lines[i + 1][1] * tau
+            left = fit.means[i] + fit.slopes[i] * tau
+            right = fit.means[i + 1] + fit.slopes[i + 1] * tau
             assert abs(left - right) <= 1e-9
-            assert fit.knot_values[i] == pytest.approx(left, abs=1e-9)
+            assert fitted[tau - 1] == pytest.approx(left, abs=1e-9)
 
     def test_segment_lines_reproduce_fitted_values(self):
+        # the per-regime lines give the hinge least-squares values X @ coef
         series = _series(5, 16)
         cfg = ChangepointConfiguration((6, 11))
         fit = fit_joinpin(series, cfg, sigma2_fixed=1.3)
-        lines = fit.segment_lines()
+        coef, _ = _least_squares(series.values, cfg.taus)
+        hinge = _design(cfg.taus, 16) @ coef
         for regime, sl in enumerate(cfg.slices(16)):
-            a, b = lines[regime]
+            a, b = fit.means[regime], fit.slopes[regime]
             t = np.arange(sl.start + 1, sl.stop + 1, dtype=float)
-            np.testing.assert_allclose(fit.fitted[sl], a + b * t, atol=1e-9)
+            np.testing.assert_allclose(hinge[sl], a + b * t, atol=1e-9)
+        # and at the paper's length, on the planted knots of the CET-like fixture
+        from cetseg.simulate import SimSpec, simulate_series
+
+        series = simulate_series(SimSpec(
+            n=362, taus=(41, 80, 329), mus=(9.0, 8.5, 9.3, 10.2),
+            betas=(0.0, 0.0, 0.003, 0.02), phi=0.06, sigma=0.54, seed=1, first_year=1659))
+        cfg = ChangepointConfiguration((41, 80, 329))
+        fit = fit_joinpin(series, cfg, sigma2_fixed=0.29)
+        coef, _ = _least_squares(series.values, cfg.taus)
+        hinge = _design(cfg.taus, 362) @ coef
+        assert np.max(np.abs(fitted_values_of(fit, series) - hinge)) <= 1e-12
 
     def test_rss_never_beats_unconstrained_trend(self):
         from cetseg.estimation import fit_trend_shift, fitted_mean
@@ -84,6 +99,9 @@ class TestFitJoinpin:
         series = _series(12, 15)
         cfg = ChangepointConfiguration((8,))
         fit = fit_joinpin(series, cfg, sigma2_fixed=0.5, knot_penalty=4.0)
+        assert isinstance(fit, FitResult)
+        assert fit.model.label() == "joinpin+wn/bic"
+        assert fit.penalty_value == 4.0
         expected_n2ll = fit.rss / 0.5 + 15 * math.log(0.5) + 15 * LOG_2PI
         assert fit.neg2loglik == pytest.approx(expected_n2ll, abs=1e-10)
         assert fit.bic_score == pytest.approx(fit.neg2loglik + 4.0 * 1, abs=1e-12)
@@ -104,12 +122,6 @@ class TestFitJoinpin:
             fit_joinpin(series, ChangepointConfiguration((6,)), sigma2_fixed=0.0)
         with pytest.raises(DomainError):
             fit_joinpin(series, ChangepointConfiguration((6,)), sigma2_fixed=-0.29)
-
-    def test_fitted_array_is_read_only(self):
-        series = _series(15, 12)
-        fit = fit_joinpin(series, ChangepointConfiguration(()), sigma2_fixed=1.0)
-        with pytest.raises(ValueError):
-            fit.fitted[0] = 0.0
 
 
 def _exhaustive_joinpin(series, sigma2, max_m):
@@ -132,10 +144,10 @@ class TestJoinpinSearch:
     def test_recovers_clean_kink(self):
         series = _kinked(50, tau=25, slope_gain=-1.0, sigma=0.05, seed=21)
         fit = joinpin_search(series, sigma2_fixed=0.0025, params=lean_ga(seed=1))
+        assert isinstance(fit, FitResult)
         assert fit.config.taus == (25,)
-        lines = fit.segment_lines()
-        assert lines[0][1] == pytest.approx(0.5, abs=0.02)
-        assert lines[1][1] == pytest.approx(-0.5, abs=0.02)
+        assert fit.slopes[0] == pytest.approx(0.5, abs=0.02)
+        assert fit.slopes[1] == pytest.approx(-0.5, abs=0.02)
 
     def test_matches_exhaustive_up_to_two_knots(self):
         for seed in range(30, 40):

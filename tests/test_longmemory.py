@@ -6,8 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cetseg import DomainError, TimeSeries
-from cetseg.longmemory import ArfimaFit, _css, fit_arfima, frac_diff
+from cetseg import DomainError, FitResult, TimeSeries
+from cetseg.longmemory import _css, fit_arfima, frac_diff
 
 
 def _direct_binomial_weights(d: Fraction, nlags: int) -> list[float]:
@@ -89,8 +89,8 @@ class TestFitArfima:
     def test_returned_point_minimizes_audit_trail(self):
         fit = fit_arfima(_lm_data(100, 200, 0.3), p=0)
         css_values = [v for _, v in fit.probes]
-        assert fit.sigma2 * 200 == pytest.approx(min(css_values), abs=1e-12)
-        assert (fit.d, fit.sigma2 * 200) == min(
+        assert fit.sigma2_hat * 200 == pytest.approx(min(css_values), abs=1e-12)
+        assert (fit.d, fit.sigma2_hat * 200) == min(
             ((d, v) for d, v in fit.probes), key=lambda pv: (pv[1], pv[0])
         )
 
@@ -100,18 +100,18 @@ class TestFitArfima:
             fit = fit_arfima(series, p=p)
             w = frac_diff(series.values - fit.mu, fit.d, 150)
             css, phi = _css(w, p)
-            assert fit.sigma2 == pytest.approx(css / 150, rel=1e-12)
+            assert fit.sigma2_hat == pytest.approx(css / 150, rel=1e-12)
             if p == 1:
-                assert fit.phi == pytest.approx(phi, abs=1e-15)
+                assert fit.phi_hat == pytest.approx(phi, abs=1e-15)
             else:
-                assert fit.phi is None
+                assert fit.phi_hat is None
 
     def test_parameter_ranges(self):
         for p in (0, 1):
             fit = fit_arfima(_lm_data(102, 120, 0.2), p=p)
             assert 0.0 < fit.d < 0.5
             if p == 1:
-                assert abs(fit.phi) <= 0.99
+                assert abs(fit.phi_hat) <= 0.99
 
     def test_recovers_generating_memory(self):
         fit = fit_arfima(_lm_data(100, 400, 0.3), p=0)
@@ -129,9 +129,13 @@ class TestFitArfima:
         series = _lm_data(103, 100, 0.2)
         for p in (0, 1):
             fit = fit_arfima(series, p=p)
+            assert isinstance(fit, FitResult)
+            assert fit.model.label() == ("long-memory+ar1/bic" if p else "long-memory+wn/bic")
+            assert fit.config.m == 0
             # charge: mean, memory parameter, innovation variance, AR coefficient
             k = 3 + p
-            expected_n2ll = 100 * (math.log(fit.sigma2) + 1.0 + math.log(2 * math.pi))
+            assert fit.penalty_value == k * math.log(100)
+            expected_n2ll = 100 * (math.log(fit.sigma2_hat) + 1.0 + math.log(2 * math.pi))
             assert fit.neg2loglik == pytest.approx(expected_n2ll, rel=1e-12)
             assert fit.bic_score == pytest.approx(
                 fit.neg2loglik + k * math.log(100), abs=1e-10

@@ -3,14 +3,14 @@ import math
 import pytest
 
 from cetseg import ChangepointConfiguration, DomainError, ModelSpec
-from cetseg.penalties import PenaltyContext, penalty_value
+from cetseg.penalties import penalty_value
 
 N = 362
 CFG3 = ChangepointConfiguration((41, 80, 329))
 
 
 def _pen(model, errors, penalty, n=N, config=CFG3):
-    return penalty_value(PenaltyContext(ModelSpec(model, errors, penalty), n, config))
+    return penalty_value(ModelSpec(model, errors, penalty), n, config)
 
 
 class TestBic:
@@ -94,14 +94,12 @@ class TestDispatch:
     def test_unscored_family_raises(self):
         # joinpin and long-memory carry their own scoring rules
         with pytest.raises(DomainError):
-            penalty_value(PenaltyContext(ModelSpec("joinpin", "wn", "bic"), N, CFG3))
+            penalty_value(ModelSpec("joinpin", "wn", "bic"), N, CFG3)
         with pytest.raises(DomainError):
-            penalty_value(
-                PenaltyContext(ModelSpec("long-memory", "ar1", "bic"), N, CFG3)
-            )
+            penalty_value(ModelSpec("long-memory", "ar1", "bic"), N, CFG3)
 
     def test_context_validates(self):
         with pytest.raises(DomainError):
-            PenaltyContext(ModelSpec("mean-shift", "ar1"), 0, CFG3)
+            penalty_value(ModelSpec("mean-shift", "ar1"), 0, CFG3)
         with pytest.raises(DomainError):
-            PenaltyContext(ModelSpec("mean-shift", "ar1"), 300, CFG3)
+            penalty_value(ModelSpec("mean-shift", "ar1"), 300, CFG3)

@@ -16,7 +16,7 @@ from cetseg import (
     TimeSeries,
     estimation,
 )
-from cetseg.penalties import PenaltyContext, penalty_value
+from cetseg.penalties import penalty_value
 from cetseg.search import (
     EXHAUSTIVE_MAX_N,
     GAParams,
@@ -95,9 +95,7 @@ class TestEvaluate:
         d = series.values - estimation.fitted_mean(cfg, means, slopes, 10)
         phi = estimation.estimate_ar1(d)
         s2 = estimation.innovation_variance(d, phi)
-        expected = estimation.gaussian_neg2loglik(s2, 10) + penalty_value(
-            PenaltyContext(model, 10, cfg)
-        )
+        expected = estimation.gaussian_neg2loglik(s2, 10) + penalty_value(model, 10, cfg)
         assert fit.score == pytest.approx(expected, abs=1e-12)
         assert fit.phi_hat == pytest.approx(phi, abs=1e-15)
 
