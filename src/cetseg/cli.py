@@ -37,10 +37,10 @@ from .io import (
     result_to_dict,
     series_to_csv,
 )
-from .joinpin import joinpin_search
+from .joinpin import check_variance, joinpin_search
 from .longmemory import fit_arfima
 from .plotting import emit_plot
-from .search import GAParams, ga_optimize
+from .search import GAParams, ga_optimize, shared_draws
 from .simulate import SimSpec, simulate_series
 
 __all__ = ["main", "build_parser", "AnalysisRequest", "run_analysis"]
@@ -214,18 +214,20 @@ def run_analysis(req: AnalysisRequest) -> dict[str, Any]:
         fit = fit_arfima(series, p=1 if req.errors == "ar1" else 0)
     elif model == "joinpin":
         sigma2 = req.sigma2
-        if sigma2 is None:
-            stage = ga_optimize(series, ModelSpec("trend-shift", "wn", "bic"),
-                                params, max_m=req.max_m)
-            sigma2 = stage.best.sigma2_hat
-        fit = joinpin_search(series, sigma2, max_m=req.max_m, params=params)
+        with shared_draws():
+            if sigma2 is None:
+                stage = ga_optimize(series, ModelSpec("trend-shift", "wn", "bic"),
+                                    params, max_m=req.max_m)
+                sigma2 = stage.best.sigma2_hat
+            fit = joinpin_search(series, sigma2, max_m=req.max_m, params=params)
     elif model == "variance-shift":
-        stage = ga_optimize(series, ModelSpec("trend-shift", "wn", req.penalty),
-                            params, max_m=req.max_m)
-        trend = stage.best
-        fitted = fitted_mean(trend.config, trend.means, trend.slopes, series.n)
-        residual_series = TimeSeries(series.first_year, series.values - fitted)
-        fit = ga_optimize(residual_series, spec, params, max_m=req.max_m).best
+        with shared_draws():
+            stage = ga_optimize(series, ModelSpec("trend-shift", "wn", req.penalty),
+                                params, max_m=req.max_m)
+            trend = stage.best
+            fitted = fitted_mean(trend.config, trend.means, trend.slopes, series.n)
+            residual_series = TimeSeries(series.first_year, series.values - fitted)
+            fit = ga_optimize(residual_series, spec, params, max_m=req.max_m).best
     else:
         fit = ga_optimize(series, spec, params, max_m=req.max_m).best
 
@@ -267,8 +269,11 @@ def _cmd_fit(args: argparse.Namespace) -> int:
     series = _load(args)
     result = run_analysis(_request(args, series))
     if args.plot:
-        emit_plot(series, result["_fit"], args.plot,
-                  title=f"{result['model']} ({result['errors']}, {result['penalty']})")
+        try:
+            emit_plot(series, result["_fit"], args.plot,
+                      title=f"{result['model']} ({result['errors']}, {result['penalty']})")
+        except OSError as err:
+            raise DataError(f"cannot write {args.plot}: {err.strerror or err}") from err
     if args.out == "json":
         sys.stdout.write(dumps_json(_strip_private(result)))
     elif args.out == "csv":
@@ -286,15 +291,20 @@ def _cmd_compare(args: argparse.Namespace) -> int:
     params = _ga_params(args)
     rows = []
     sigma2 = args.sigma2
-    for model, errors, penalty in _COMPARE_ROWS:
-        req = AnalysisRequest(
-            series=series, model=model, errors=errors, penalty=penalty,
-            ga_params=params, max_m=args.max_m, sigma2=sigma2,
-        )
-        result = run_analysis(req)
-        if model == "trend-shift" and errors == "wn" and penalty == "bic" and sigma2 is None:
-            sigma2 = result["sigma2_hat"]
-        rows.append(_strip_private(result))
+    if sigma2 is not None:
+        check_variance(sigma2)
+    # The rows' searches share their seed and GA settings, so each
+    # generation's draws are made once and replayed to the rest.
+    with shared_draws():
+        for model, errors, penalty in _COMPARE_ROWS:
+            req = AnalysisRequest(
+                series=series, model=model, errors=errors, penalty=penalty,
+                ga_params=params, max_m=args.max_m, sigma2=sigma2,
+            )
+            result = run_analysis(req)
+            if model == "trend-shift" and errors == "wn" and penalty == "bic" and sigma2 is None:
+                sigma2 = result["sigma2_hat"]
+            rows.append(_strip_private(result))
     report = {
         "seed": params.seed,
         "input": {"first_year": series.first_year, "last_year": series.last_year,

@@ -36,7 +36,8 @@ from .estimation import LOG_2PI
 from .fastscore import joinpin_rss
 from .search import GAParams, check_refit, ga_minimize
 
-__all__ = ["JoinpinFit", "fit_joinpin", "joinpin_search", "default_knot_penalty"]
+__all__ = ["JoinpinFit", "fit_joinpin", "joinpin_search", "default_knot_penalty",
+           "check_variance"]
 
 _MODEL = ModelSpec(MeanStructure.JOINPIN, "wn", "bic")
 _MIN_SEG = FAMILIES[MeanStructure.JOINPIN].min_len
@@ -87,6 +88,12 @@ def _least_squares(values: np.ndarray, taus: tuple[int, ...]):
     return coef, float(np.dot(resid, resid))
 
 
+def check_variance(sigma2_fixed: float) -> None:
+    """Raise :class:`DomainError` unless ``sigma2_fixed`` is finite and positive."""
+    if not (math.isfinite(sigma2_fixed) and sigma2_fixed > 0.0):
+        raise DomainError(f"sigma2_fixed must be finite and positive, got {sigma2_fixed!r}")
+
+
 def _neg2loglik(rss, n: int, sigma2: float):
     """-2 log likelihood at the fixed variance (element-wise for an
     array of ``rss``)."""
@@ -113,13 +120,12 @@ def fit_joinpin(
     Raises
     ------
     DomainError
-        If a regime is shorter than 2, ``sigma2_fixed <= 0``, or the
-        hinge design is singular.
+        If a regime is shorter than 2, ``sigma2_fixed`` is not finite
+        and positive, or the hinge design is singular.
     """
     n = series.n
     config.validate_for(n, _MIN_SEG)
-    if not sigma2_fixed > 0.0:
-        raise DomainError("sigma2_fixed must be positive")
+    check_variance(sigma2_fixed)
     if knot_penalty is None:
         knot_penalty = default_knot_penalty(n)
     coef, rss = _least_squares(series.values, config.taus)
@@ -161,12 +167,13 @@ def joinpin_search(
 
     Raises
     ------
+    DomainError
+        If ``sigma2_fixed`` is not finite and positive.
     cetseg.search.RefitMismatchError
         If the winner's fit disagrees with its search score by more
         than :data:`cetseg.search.REFIT_RTOL`.
     """
-    if not sigma2_fixed > 0.0:
-        raise DomainError("sigma2_fixed must be positive")
+    check_variance(sigma2_fixed)
     n = series.n
     kp = default_knot_penalty(n) if knot_penalty is None else knot_penalty
     fast_rss = joinpin_rss(series.values)

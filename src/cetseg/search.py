@@ -16,7 +16,14 @@ generation draws from one stream keyed by ``(seed, generation)``, as
 whole arrays in a fixed order with one row per slot, so the values an
 individual consumes sit at fixed positions: they never depend on what
 another individual drew, and results are independent of evaluation
-order.
+order.  A generation's draws depend only on ``(seed, generation)`` and
+on the key ``(seed, population size, child count, N - 1, crossover
+probability, per-position flip probability)``, never on the fitness
+or the population, so searches that share the key draw the same
+arrays.  Inside a :func:`shared_draws` scope they are drawn once, kept
+compactly up to a size limit, and replayed to every later search with
+that key; outside any scope each search draws its own and keeps
+nothing.
 
 Ties are broken identically everywhere: lower score, then fewer
 changepoints, then lexicographically smaller boundary indices.
@@ -25,7 +32,10 @@ changepoints, then lexicographically smaller boundary indices.
 from __future__ import annotations
 
 import math
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass
+from functools import partial
 from itertools import chain, islice
 from typing import Callable, Iterator, Sequence
 
@@ -58,6 +68,7 @@ __all__ = [
     "exhaustive_optimize",
     "ga_minimize",
     "ga_optimize",
+    "shared_draws",
     "EXHAUSTIVE_MAX_N",
     "REFIT_RTOL",
 ]
@@ -335,6 +346,101 @@ def _repair(bits: np.ndarray, n: int, min_len: int, max_m: int) -> list[tuple[in
     return repaired
 
 
+# Generations >= 1 of each draw key's draws, kept by the open
+# shared_draws() scope (list index = generation - 1); None outside any
+# scope.
+_SHARED: ContextVar[dict | None] = ContextVar("cetseg_shared_draws", default=None)
+
+# Bytes of packed crossover masks a scope keeps per draw key (about 85%
+# of what it keeps); later generations are drawn by every search that
+# reaches them.  At N=362 and the default population that is 959
+# generations, nearly the 1,000 that a default-budget search runs at
+# least, and about 9 MB in all.
+_SHARED_BYTES = 8 * 2**20
+
+
+@contextmanager
+def shared_draws() -> Iterator[None]:
+    """Let the GA searches run inside this scope share their draws.
+
+    Each generation's random arrays are drawn once per draw key (see
+    :func:`ga_minimize`) and replayed to every later search with the
+    same key, so the searches' results are exactly those they give
+    alone.  A nested scope uses the outermost scope's memo; the memo is
+    dropped when the outermost scope exits.
+    """
+    if _SHARED.get() is not None:
+        yield
+        return
+    token = _SHARED.set({})
+    try:
+        yield
+    finally:
+        _SHARED.reset(token)
+
+
+def _draw(params: GAParams, n: int, child_count: int, gen: int):
+    """Generation ``gen``'s (>= 1) random arrays, drawn from
+    ``default_rng((seed, gen))``: the ranks of each child's two
+    tournament winners ``(C,)``, the mask of bits a child takes from its
+    second parent ``(C, n-1)`` and the mutation flip mask ``(C, n-1)``.
+    """
+    # Every array is drawn every generation, in this order, so each
+    # slot's values sit at fixed positions of the stream.
+    length = n - 1
+    rng = np.random.default_rng((params.seed, gen))
+    picks = rng.integers(0, params.population_size, (child_count, 6))
+    crossed = rng.random(child_count) < params.crossover_prob
+    from_second = rng.random((child_count, length)) < 0.5
+    flips = rng.random((child_count, length)) < params.mutation_rate / length
+    # Rows are ranks, so a tournament's winner is its smallest pick.
+    return (picks[:, :3].min(axis=1), picks[:, 3:].min(axis=1),
+            crossed[:, None] & from_second, flips)
+
+
+def _pack(drawn, population_size: int):
+    """``drawn`` kept compactly: ranks in the smallest integer type, the
+    take mask as bits, the sparse flips as flat indices."""
+    first, second, take, flips = drawn
+    rank_type = np.min_scalar_type(population_size - 1)
+    flat_flips = np.flatnonzero(flips).astype(np.min_scalar_type(flips.size - 1))
+    return (first.astype(rank_type), second.astype(rank_type),
+            np.packbits(take, axis=1), flat_flips)
+
+
+def _unpack(kept, length: int):
+    """The arrays :func:`_pack` kept, as :func:`_draw` gave them."""
+    first, second, take, flat_flips = kept
+    flips = np.zeros((len(first), length), dtype=bool)
+    flips.reshape(-1)[flat_flips] = True
+    return first, second, np.unpackbits(take, axis=1, count=length).view(bool), flips
+
+
+def _draws(params: GAParams, n: int, child_count: int) -> Callable[[int], tuple]:
+    """A search's source of :func:`_draw`'s arrays by generation, replayed
+    from the :func:`shared_draws` memo inside a scope."""
+    memo = _SHARED.get()
+    if memo is None:
+        return partial(_draw, params, n, child_count)
+    length = n - 1
+    key = (params.seed, params.population_size, child_count, length,
+           params.crossover_prob, params.mutation_rate / length)
+    kept = memo.setdefault(key, [])
+    limit = _SHARED_BYTES // (child_count * ((length + 7) // 8))
+
+    def replay(gen: int) -> tuple:
+        if gen <= len(kept):
+            return _unpack(kept[gen - 1], length)
+        drawn = _draw(params, n, child_count, gen)
+        # Generations are asked for in order, so below the limit a new
+        # one is the next to keep.
+        if len(kept) < limit:
+            kept.append(_pack(drawn, params.population_size))
+        return drawn
+
+    return replay
+
+
 def ga_minimize(
     fitness: Fitness,
     n: int,
@@ -361,7 +467,11 @@ def ga_minimize(
     population.  A generation of C children draws, in this order,
     tournament picks ``(C, 6)``, crossover uniforms ``(C,)``, a
     crossover mask ``(C, n-1)`` and mutation flips ``(C, n-1)``, with
-    row i belonging to child i.
+    row i belonging to child i.  The draws depend only on
+    ``(params.seed, generation)`` and the draw key ``(params.seed,
+    population_size, C, n-1, crossover_prob, mutation_rate / (n-1))``;
+    inside a :func:`shared_draws` scope a search replays the draws an
+    earlier search with the same key made, with the same result.
 
     Raises
     ------
@@ -392,16 +502,15 @@ def ga_minimize(
         keys.sort()
         return keys
 
+    elite_count = max(1, round(params.elite_fraction * pop_size))
+    child_count = pop_size - elite_count
+    draws = _draws(params, n, child_count)
     include_prob = min(1.0, 3.0 / n)
     population = [()] + _repair(_bit_matrix(initial, length), n, min_len, cap)
     population = population[:pop_size]
     rng = np.random.default_rng((params.seed, 0))
     fresh = rng.random((pop_size, length)) < include_prob
     population += _repair(fresh[len(population):], n, min_len, cap)
-
-    elite_count = max(1, round(params.elite_fraction * pop_size))
-    child_count = pop_size - elite_count
-    flip_prob = params.mutation_rate / length
     current = ranked(population)
     best_key = current[0]
     history = [best_key[0]]
@@ -409,21 +518,13 @@ def ga_minimize(
     generations = 0
 
     for gen in range(1, params.max_generations + 1):
-        # Every array is drawn every generation, in this order, so each
-        # slot's values sit at fixed positions of the stream.
-        rng = np.random.default_rng((params.seed, gen))
-        picks = rng.integers(0, pop_size, (child_count, 6))
-        crossed = rng.random(child_count) < params.crossover_prob
-        from_second = rng.random((child_count, length)) < 0.5
-        flips = rng.random((child_count, length)) < flip_prob
-
-        # Rows are ranks, so a tournament's winner is its smallest pick.
+        first_rank, second_rank, take, flips = draws(gen)
         parents = _bit_matrix([key[2] for key in current], length)
-        first = parents[picks[:, :3].min(axis=1)]
-        second = parents[picks[:, 3:].min(axis=1)]
+        first = parents[first_rank]
+        second = parents[second_rank]
         # Uniform crossover as bit operations: the second parent's bit where
         # a crossed child takes it, the first parent's elsewhere.
-        bits = first ^ ((first ^ second) & (crossed[:, None] & from_second)) ^ flips
+        bits = first ^ ((first ^ second) & take) ^ flips
         population = [key[2] for key in current[:elite_count]]
         population += _repair(bits, n, min_len, cap)
         current = ranked(population)

@@ -287,6 +287,17 @@ CANONICAL_OUTPUTS = {
          "--generations", "100", "--seed", "1", "--out", "json"],
         "afcf265d1ef7547345974c3f6e5b4fcb3cfb000a25888df97928cda9cd82f13a",
     ),
+    # the two-stage fits: a trend-shift+wn search, then the variance or
+    # joinpin search
+    "fit-variance-shift": (
+        ["fit", "--model", "variance-shift", "--generations", "40", "--seed", "1",
+         "--out", "json"],
+        "5c9ae1024d756730cfe4c67a85038c05302c7650ded46a45d5427c54ec4c590c",
+    ),
+    "fit-joinpin": (
+        ["fit", "--model", "joinpin", "--generations", "40", "--seed", "1", "--out", "json"],
+        "019963bc2fe18c545d60c7d45aa536c7305680853d781eedc4140a5764ccd340",
+    ),
 }
 
 

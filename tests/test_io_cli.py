@@ -368,6 +368,25 @@ class TestCliFit:
         assert main(["fit", "--input", str(tmp_path / "nope.csv"),
                      "--format", "csv", "--model", "mean-shift"]) == 2
 
+    def test_unwritable_plot_path_exits_2(self, csv_file, tmp_path, capsys):
+        path = tmp_path / "missing" / "fit.svg"
+        assert main(_fit_args(csv_file, "--model", "mean-shift", "--plot", str(path))) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: cannot write {path}: ")
+
+    @pytest.mark.parametrize("command", ["fit", "compare"])
+    @pytest.mark.parametrize("sigma2", ["nan", "inf", "-1", "0"])
+    def test_joinpin_sigma2_must_be_finite_and_positive(self, csv_file, capsys,
+                                                         command, sigma2):
+        argv = [command, "--input", csv_file, "--format", "csv", *FAST, "--sigma2", sigma2]
+        if command == "fit":
+            argv += ["--model", "joinpin"]
+        assert main(argv) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "sigma2_fixed must be finite and positive" in captured.err
+
     def test_variance_shift_json(self, csv_file, capsys):
         rc = main(_fit_args(csv_file, "--model", "variance-shift", "--out", "json",
                             "--seed", "4"))

@@ -120,8 +120,9 @@ class TestFitJoinpin:
             fit_joinpin(series, ChangepointConfiguration((1,)), sigma2_fixed=1.0)
         with pytest.raises(DomainError):
             fit_joinpin(series, ChangepointConfiguration((6,)), sigma2_fixed=0.0)
-        with pytest.raises(DomainError):
-            fit_joinpin(series, ChangepointConfiguration((6,)), sigma2_fixed=-0.29)
+        for sigma2 in (-0.29, math.inf, math.nan):
+            with pytest.raises(DomainError, match="finite and positive"):
+                fit_joinpin(series, ChangepointConfiguration((6,)), sigma2_fixed=sigma2)
 
 
 def _exhaustive_joinpin(series, sigma2, max_m):
@@ -186,8 +187,9 @@ class TestJoinpinSearch:
 
     def test_rejects_bad_variance(self):
         series = _series(44, 20)
-        with pytest.raises(DomainError):
-            joinpin_search(series, sigma2_fixed=0.0, params=lean_ga())
+        for sigma2 in (0.0, -1.0, math.inf, math.nan):
+            with pytest.raises(DomainError, match="finite and positive"):
+                joinpin_search(series, sigma2_fixed=sigma2, params=lean_ga())
 
 
 @pytest.mark.parametrize("seed, taus, score", [

@@ -1,4 +1,5 @@
 import itertools
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from cetseg import (
     estimation,
 )
 from cetseg.penalties import penalty_value
+from cetseg import search
 from cetseg.search import (
     EXHAUSTIVE_MAX_N,
     GAParams,
@@ -29,6 +31,7 @@ from cetseg.search import (
     ga_minimize,
     ga_optimize,
     min_segment_length,
+    shared_draws,
 )
 
 SEARCH_FAMILIES = (
@@ -421,6 +424,131 @@ class TestGA:
         oracle = exhaustive_optimize(series, model)
         report = ga_optimize(series, model, GAParams(seed=11))
         assert report.best.score == pytest.approx(oracle.best.score, abs=1e-9)
+
+
+class TestSharedDraws:
+    """Searches inside one shared_draws() scope replay each other's draws."""
+
+    N = 60
+    PARAMS = GAParams(population_size=30, max_generations=12, stagnation_limit=1000, seed=4)
+
+    @staticmethod
+    def _count_generators(monkeypatch):
+        """Record the ``(seed, generation)`` of each generator a GA builds.
+
+        Generation 0, the fresh population, is drawn by every search."""
+        built = []
+        make = np.random.default_rng
+
+        def counting(seed=None):
+            if isinstance(seed, tuple):
+                built.append(seed)
+            return make(seed)
+
+        monkeypatch.setattr(np.random, "default_rng", counting)
+        return built
+
+    def _fitness(self, mean, errors, seed=31):
+        return _model_fitness(ar1_series(seed, self.N), ModelSpec(mean, errors))
+
+    def _calls(self):
+        """Searches with one draw key but other segment rules, caps, initial
+        configurations and stopping points; the fourth runs longer than the
+        first three."""
+        p = self.PARAMS
+        return [
+            lambda: ga_minimize(self._fitness("mean-shift", "ar1"), self.N, 1, p),
+            lambda: ga_minimize(self._fitness("fixed-slope", "ar1"), self.N, 2, p,
+                                max_m=2, initial=[(20, 41)]),
+            lambda: ga_minimize(self._fitness("trend-shift", "wn"), self.N, 3,
+                                replace(p, stagnation_limit=3)),
+            lambda: ga_minimize(self._fitness("trend-shift", "wn"), self.N, 3,
+                                replace(p, max_generations=30), max_m=3),
+            lambda: ga_optimize(ar1_series(32, self.N), ModelSpec("variance-shift", "wn"),
+                                replace(p, max_generations=20),
+                                initial=[ChangepointConfiguration((15, 44))]),
+        ]
+
+    def test_each_search_matches_its_unscoped_run(self, monkeypatch):
+        alone = [call() for call in self._calls()]
+        built = self._count_generators(monkeypatch)
+        with shared_draws():
+            shared = [call() for call in self._calls()]
+        assert shared == alone
+        assert alone[2].generations_run < 12
+        # every generation 1..30 was drawn once, by whichever search reached it first
+        assert sorted(gen for _, gen in built if gen) == list(range(1, 31))
+
+    @pytest.mark.parametrize("change", [
+        {"seed": 5},
+        {"population_size": 32},
+        {"elite_fraction": 0.2},
+        {"n": 61},
+        {"mutation_rate": 2.0},
+        {"crossover_prob": 0.5},
+    ])
+    def test_searches_with_another_key_draw_their_own(self, monkeypatch, change):
+        change = dict(change)
+        n = change.pop("n", self.N)
+        params = replace(self.PARAMS, **change)
+        fitness = _model_fitness(ar1_series(33, n), ModelSpec("trend-shift", "wn"))
+        alone = ga_minimize(fitness, n, 3, params)
+        built = self._count_generators(monkeypatch)
+        with shared_draws():
+            ga_minimize(self._fitness("trend-shift", "wn", 33), self.N, 3, self.PARAMS)
+            del built[:]
+            assert ga_minimize(fitness, n, 3, params) == alone
+        assert len(built) == params.max_generations + 1
+
+    def test_a_replaying_search_builds_no_generator_for_drawn_generations(self, monkeypatch):
+        fitness = self._fitness("mean-shift", "ar1")
+        built = self._count_generators(monkeypatch)
+        with shared_draws():
+            ga_minimize(fitness, self.N, 1, self.PARAMS)
+            assert len(built) == 13
+            ga_minimize(fitness, self.N, 1, replace(self.PARAMS, max_generations=8))
+            assert built[13:] == [(4, 0)]
+            ga_minimize(fitness, self.N, 1, replace(self.PARAMS, max_generations=15))
+            assert built[14:] == [(4, 0), (4, 13), (4, 14), (4, 15)]
+
+    def test_memo_stops_growing_at_its_byte_limit(self, monkeypatch):
+        fitness = self._fitness("trend-shift", "wn")
+        alone = ga_minimize(fitness, self.N, 3, self.PARAMS)
+        # 28 children of 59 candidate bits pack into 8 bytes each
+        monkeypatch.setattr(search, "_SHARED_BYTES", 5 * 28 * 8)
+        built = self._count_generators(monkeypatch)
+        with shared_draws():
+            assert ga_minimize(fitness, self.N, 3, self.PARAMS) == alone
+            assert [len(kept) for kept in search._SHARED.get().values()] == [5]
+            del built[:]
+            assert ga_minimize(fitness, self.N, 3, self.PARAMS) == alone
+        assert [gen for _, gen in built] == [0, *range(6, 13)]
+
+    def test_memo_lives_only_in_the_outermost_scope(self, monkeypatch):
+        fitness = self._fitness("mean-shift", "ar1")
+        built = self._count_generators(monkeypatch)
+        assert search._SHARED.get() is None
+        with shared_draws():
+            memo = search._SHARED.get()
+            ga_minimize(fitness, self.N, 1, self.PARAMS)
+            with shared_draws():
+                assert search._SHARED.get() is memo
+                ga_minimize(fitness, self.N, 1, self.PARAMS)
+            assert search._SHARED.get() is memo
+            assert len(built) == 14
+        assert search._SHARED.get() is None
+        # outside any scope, and in a new scope, every search draws afresh
+        ga_minimize(fitness, self.N, 1, self.PARAMS)
+        with shared_draws():
+            assert search._SHARED.get() == {}
+            ga_minimize(fitness, self.N, 1, self.PARAMS)
+        assert len(built) == 40
+
+    def test_memo_is_dropped_when_the_scope_raises(self):
+        with pytest.raises(DegenerateFitError):
+            with shared_draws():
+                ga_minimize(lambda configs: [np.inf] * len(configs), self.N, 1, self.PARAMS)
+        assert search._SHARED.get() is None
 
 
 # GA trajectories pinned on the whole-generation random stream, keyed by
