@@ -18,11 +18,14 @@ import sys
 from dataclasses import dataclass
 from typing import Any
 
+import numpy as np
+
 from .core import (
     FAMILIES,
     DataError,
     DegenerateFitError,
     DomainError,
+    FitResult,
     InfeasibleModelError,
     MeanStructure,
     ModelSpec,
@@ -67,6 +70,9 @@ _COMPARE_ROWS = [
     ("long-memory", "wn", "bic"),
     ("long-memory", "ar1", "bic"),
 ]
+
+# The row whose innovation variance joinpin uses when no --sigma2 is given.
+_SIGMA2_ROW = ("trend-shift", "wn", "bic")
 
 
 @dataclass(frozen=True)
@@ -194,8 +200,9 @@ def _load(args: argparse.Namespace) -> TimeSeries:
     return series
 
 
-def run_analysis(req: AnalysisRequest) -> dict[str, Any]:
-    """Fit one model per the request; returns the JSON-shaped result.
+def run_analysis(req: AnalysisRequest) -> tuple[dict[str, Any], FitResult, np.ndarray]:
+    """Fit one model per the request; returns the JSON-shaped result, the fit
+    and its fitted values.
 
     The variance-shift workflow is two-stage: a trend-shift+wn search
     fixes the mean structure, and the variance search runs on its
@@ -216,10 +223,9 @@ def run_analysis(req: AnalysisRequest) -> dict[str, Any]:
         sigma2 = req.sigma2
         with shared_draws():
             if sigma2 is None:
-                stage = ga_optimize(series, ModelSpec("trend-shift", "wn", "bic"),
-                                    params, max_m=req.max_m)
+                stage = ga_optimize(series, ModelSpec(*_SIGMA2_ROW), params, max_m=req.max_m)
                 sigma2 = stage.best.sigma2_hat
-            fit = joinpin_search(series, sigma2, max_m=req.max_m, params=params)
+            fit = joinpin_search(series, sigma2, max_m=req.max_m, params=params).best
     elif model == "variance-shift":
         with shared_draws():
             stage = ga_optimize(series, ModelSpec("trend-shift", "wn", req.penalty),
@@ -233,13 +239,7 @@ def run_analysis(req: AnalysisRequest) -> dict[str, Any]:
 
     ga_params = None if model == "long-memory" else params
     result = result_to_dict(fit, series, params.seed, ga_params)
-    result["_fitted"] = fitted_values_of(fit, series) if fitted is None else fitted
-    result["_fit"] = fit
-    return result
-
-
-def _strip_private(result: dict[str, Any]) -> dict[str, Any]:
-    return {k: v for k, v in result.items() if not k.startswith("_")}
+    return result, fit, fitted_values_of(fit, series) if fitted is None else fitted
 
 
 def _table_row(result: dict[str, Any]) -> str:
@@ -267,17 +267,17 @@ def _request(args: argparse.Namespace, series: TimeSeries) -> AnalysisRequest:
 
 def _cmd_fit(args: argparse.Namespace) -> int:
     series = _load(args)
-    result = run_analysis(_request(args, series))
+    result, fit, fitted = run_analysis(_request(args, series))
     if args.plot:
         try:
-            emit_plot(series, result["_fit"], args.plot,
+            emit_plot(series, fit, args.plot,
                       title=f"{result['model']} ({result['errors']}, {result['penalty']})")
         except OSError as err:
             raise DataError(f"cannot write {args.plot}: {err.strerror or err}") from err
     if args.out == "json":
-        sys.stdout.write(dumps_json(_strip_private(result)))
+        sys.stdout.write(dumps_json(result))
     elif args.out == "csv":
-        sys.stdout.write(decomposition_to_csv(series, result["_fitted"]))
+        sys.stdout.write(decomposition_to_csv(series, fitted))
         print(f"seed: {result['seed']}", file=sys.stderr)
     else:
         print(_TABLE_HEADER)
@@ -301,10 +301,10 @@ def _cmd_compare(args: argparse.Namespace) -> int:
                 series=series, model=model, errors=errors, penalty=penalty,
                 ga_params=params, max_m=args.max_m, sigma2=sigma2,
             )
-            result = run_analysis(req)
-            if model == "trend-shift" and errors == "wn" and penalty == "bic" and sigma2 is None:
-                sigma2 = result["sigma2_hat"]
-            rows.append(_strip_private(result))
+            result, fit, _ = run_analysis(req)
+            if (model, errors, penalty) == _SIGMA2_ROW and sigma2 is None:
+                sigma2 = fit.sigma2_hat
+            rows.append(result)
     report = {
         "seed": params.seed,
         "input": {"first_year": series.first_year, "last_year": series.last_year,
@@ -323,8 +323,8 @@ def _cmd_compare(args: argparse.Namespace) -> int:
 
 def _cmd_residuals(args: argparse.Namespace) -> int:
     series = _load(args)
-    result = run_analysis(_request(args, series))
-    sys.stdout.write(decomposition_to_csv(series, result["_fitted"]))
+    result, _, fitted = run_analysis(_request(args, series))
+    sys.stdout.write(decomposition_to_csv(series, fitted))
     print(f"seed: {result['seed']}", file=sys.stderr)
     return 0
 

@@ -191,9 +191,6 @@ class ChangepointConfiguration:
                 f"changepoint {self.taus[-1]} not interior to a series of length {n}"
             )
 
-    def __str__(self):
-        return "()" if not self.taus else str(self.taus)
-
 
 class Regimes:
     """The regimes of a batch of boundary tuples on a series of length ``n``,

@@ -138,10 +138,11 @@ def parse_csv(text: str) -> TimeSeries:
 
 
 def load_series(path: str, fmt: str = "hadcet") -> TimeSeries:
+    """Read a series from a UTF-8 file, with or without a byte-order mark."""
     try:
-        with open(path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8-sig") as fh:
             text = fh.read()
-    except OSError as err:
+    except (OSError, UnicodeDecodeError) as err:
         raise DataError(f"cannot read {path}: {err}") from err
     if fmt == "hadcet":
         return parse_hadcet(text)

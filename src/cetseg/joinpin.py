@@ -7,12 +7,9 @@ a single global least squares.  The error variance is supplied by the
 caller rather than re-estimated, and scoring is BIC-style with a
 configurable per-changepoint charge.
 
-The search scores each generation's new knot configurations as one
-batch, in O(m) each, with :func:`cetseg.fastscore.joinpin_rss`, falling
-back to the least squares for each configuration whose fast value could
-be rounding-dominated; its winner is fitted once more with
-:func:`fit_joinpin`, which must agree with the search score within
-:data:`cetseg.search.REFIT_RTOL`.
+The search hands :func:`cetseg.search.ga_search` two scores of a knot
+configuration, the O(m) one from :func:`cetseg.fastscore.joinpin_rss`
+and the reference :func:`fit_joinpin`; ``ga_search`` decides which to trust.
 """
 
 from __future__ import annotations
@@ -26,6 +23,7 @@ import numpy as np
 from .core import (
     FAMILIES,
     ChangepointConfiguration,
+    DegenerateFitError,
     DomainError,
     FitResult,
     MeanStructure,
@@ -34,7 +32,7 @@ from .core import (
 )
 from .estimation import LOG_2PI
 from .fastscore import joinpin_rss
-from .search import GAParams, check_refit, ga_minimize
+from .search import GAParams, SearchReport, ga_search
 
 __all__ = ["JoinpinFit", "fit_joinpin", "joinpin_search", "default_knot_penalty",
            "check_variance"]
@@ -83,7 +81,7 @@ def _least_squares(values: np.ndarray, taus: tuple[int, ...]):
     X = _design(taus, values.size)
     coef, _, rank, _ = np.linalg.lstsq(X, values, rcond=None)
     if rank < X.shape[1]:
-        raise DomainError(f"singular hinge design for knots {taus}")
+        raise DegenerateFitError(f"singular hinge design for knots {taus}")
     resid = values - X @ coef
     return coef, float(np.dot(resid, resid))
 
@@ -120,8 +118,10 @@ def fit_joinpin(
     Raises
     ------
     DomainError
-        If a regime is shorter than 2, ``sigma2_fixed`` is not finite
-        and positive, or the hinge design is singular.
+        If a regime is shorter than 2 or ``sigma2_fixed`` is not finite
+        and positive.
+    DegenerateFitError
+        If the hinge design is singular.
     """
     n = series.n
     config.validate_for(n, _MIN_SEG)
@@ -155,41 +155,30 @@ def joinpin_search(
     sigma2_fixed: float,
     max_m: int | None = None,
     params: GAParams = GAParams(),
-    knot_penalty: float | None = None,
-) -> JoinpinFit:
+) -> SearchReport:
     """GA search for the BIC-minimal knot configuration.
 
-    Runs :func:`cetseg.search.ga_minimize` on this model's score, taken
-    for a batch of knot tuples from the O(m)
-    :func:`cetseg.fastscore.joinpin_rss` or, where that returns NaN,
-    from the hinge-basis least squares; a singular hinge design scores
-    +inf.  The winner is fitted once with :func:`fit_joinpin`.
+    :func:`cetseg.search.ga_search` over the O(m) score from
+    :func:`cetseg.fastscore.joinpin_rss`, with :func:`fit_joinpin`
+    (default knot penalty) as the reference fit.
 
     Raises
     ------
     DomainError
         If ``sigma2_fixed`` is not finite and positive.
     cetseg.search.RefitMismatchError
-        If the winner's fit disagrees with its search score by more
-        than :data:`cetseg.search.REFIT_RTOL`.
+        If the winner's fit disagrees with its search score.
     """
     check_variance(sigma2_fixed)
     n = series.n
-    kp = default_knot_penalty(n) if knot_penalty is None else knot_penalty
+    kp = default_knot_penalty(n)
     fast_rss = joinpin_rss(series.values)
 
-    def fitness(configs: list[tuple[int, ...]]) -> list[float]:
-        rss = fast_rss(configs)
-        for i in np.flatnonzero(np.isnan(rss)).tolist():
-            try:
-                _, rss[i] = _least_squares(series.values, configs[i])
-            except DomainError:
-                # Repair guarantees segment lengths, so only singularity lands here.
-                rss[i] = math.inf
+    def fast(configs: list[tuple[int, ...]]) -> np.ndarray:
         m = np.fromiter(map(len, configs), np.intp, len(configs))
-        return (_neg2loglik(rss, n, sigma2_fixed) + kp * m).tolist()
+        return _neg2loglik(fast_rss(configs), n, sigma2_fixed) + kp * m
 
-    run = ga_minimize(fitness, n, _MIN_SEG, params, max_m=max_m)
-    fit = fit_joinpin(series, ChangepointConfiguration(run.taus), sigma2_fixed, knot_penalty)
-    check_refit("joinpin", run.taus, run.score, fit.score)
-    return fit
+    def reference(taus: tuple[int, ...]) -> JoinpinFit:
+        return fit_joinpin(series, ChangepointConfiguration(taus), sigma2_fixed)
+
+    return ga_search(fast, reference, n, _MIN_SEG, params, max_m=max_m)

@@ -95,7 +95,7 @@ def _css(w: np.ndarray, p: int) -> tuple[float, float | None]:
     return float(w[0] * w[0] + np.dot(e, e)), phi
 
 
-def fit_arfima(series: TimeSeries, p: int, truncation_lag: int | None = None) -> ArfimaFit:
+def fit_arfima(series: TimeSeries, p: int) -> ArfimaFit:
     """Fit an ARFIMA(p, d, 0) to a demeaned series by CSS.
 
     The memory parameter is found by a coarse grid pass over (0, 0.5)
@@ -119,15 +119,13 @@ def fit_arfima(series: TimeSeries, p: int, truncation_lag: int | None = None) ->
     n = series.n
     if n < 30:
         raise DomainError(f"long-memory fit needs N >= 30, got {n}")
-    if truncation_lag is None:
-        truncation_lag = n
     mu = float(series.values.mean())
     x = series.values - mu
 
     probes: list[tuple[float, float]] = []
 
     def css_at(d: float) -> float:
-        w = frac_diff(x, d, truncation_lag)
+        w = frac_diff(x, d, n)
         value, _ = _css(w, p)
         probes.append((float(d), value))
         return value
@@ -152,7 +150,7 @@ def fit_arfima(series: TimeSeries, p: int, truncation_lag: int | None = None) ->
             fe = css_at(e)
 
     d_hat, css_min = min(probes, key=lambda pv: (pv[1], pv[0]))
-    _, phi_hat = _css(frac_diff(x, d_hat, truncation_lag), p)
+    _, phi_hat = _css(frac_diff(x, d_hat, n), p)
     sigma2 = css_min / n
     return ArfimaFit(
         model=ModelSpec("long-memory", "ar1" if p else "wn", "bic"),

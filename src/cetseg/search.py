@@ -1,15 +1,15 @@
 """Changepoint search: exact enumeration for tiny series, GA otherwise.
 
-Searches score configurations in batches with the O(m) fast fits of
-:mod:`cetseg.fastscore`, built once per search from prefix sums of the
-series: the GA one batch per generation (the configurations it has not
-scored yet), exhaustive enumeration fixed-size chunks.  A configuration
-the fast fit cannot score safely is scored with the reference
-:func:`evaluate` instead.  A configuration's score does not depend on
-the batch it is scored in.  The cache holds one sort key per
-configuration, not a fit.  The winner of each search is fitted
-once more with :func:`evaluate`; that refit is the reported result, and
-it must agree with the score the search ranked it by.
+Searches score configurations in batches with an O(m) fast score, for
+the families here the one :mod:`cetseg.fastscore` builds per search from
+prefix sums: the GA one batch per generation (the configurations it has
+not scored yet), exhaustive enumeration fixed-size chunks.  One rule,
+shared with joinpin through :func:`ga_search`, trusts those scores: a
+configuration the fast score leaves undecided (NaN) is scored by the
+reference fit, here :func:`evaluate`, and the winner's reference refit
+is the reported result, which must match its search score within
+``REFIT_RTOL``.  A configuration's score does not depend on the batch it
+is scored in.  The cache holds one sort key per configuration, not a fit.
 
 The genetic algorithm is deterministic for a given seed.  Each
 generation draws from one stream keyed by ``(seed, generation)``, as
@@ -64,10 +64,10 @@ __all__ = [
     "SearchReport",
     "GARun",
     "RefitMismatchError",
-    "check_refit",
     "exhaustive_optimize",
     "ga_minimize",
     "ga_optimize",
+    "ga_search",
     "shared_draws",
     "EXHAUSTIVE_MAX_N",
     "REFIT_RTOL",
@@ -179,15 +179,15 @@ class GAParams:
 class SearchReport:
     """Outcome of a changepoint search.
 
-    ``best`` is the reference :func:`evaluate` refit of the winning
-    configuration; the search itself ranked configurations by their
-    fast scores, which the refit matches within ``REFIT_RTOL``.
-    ``score_history`` holds the best score seen up to and including
-    each generation (a single entry for exact enumeration), so it is
-    non-increasing; entries are fast scores, except that the final best
-    score is replaced by its refit, so ``score_history[-1] ==
-    best.score``.  ``evaluations_count`` counts distinct configurations
-    scored; the search caches one score per configuration.
+    ``best`` is the reference refit of the winning configuration; the
+    search itself ranked configurations by their fast scores, which the
+    refit matches within ``REFIT_RTOL``.  ``score_history`` holds the
+    best score seen up to and including each generation (a single entry
+    for exact enumeration), so it is non-increasing; entries are fast
+    scores, except that the final best score is replaced by its refit,
+    so ``score_history[-1] == best.score``.  ``evaluations_count``
+    counts distinct configurations scored; the search caches one score
+    per configuration.
     """
 
     best: FitResult
@@ -212,26 +212,22 @@ class GARun:
 
 _INF = math.inf
 
-# A batch of distinct boundary tuples -> one score each.
+# A batch of distinct boundary tuples -> one score each (NaN: undecided).
 Fitness = Callable[[list[tuple[int, ...]]], Sequence[float]]
+# One feasible boundary tuple -> its reference fit.
+Reference = Callable[[tuple[int, ...]], FitResult]
 
 
-def _model_fitness(series: TimeSeries, model: ModelSpec) -> Fitness:
-    """Scores of ``model`` at a batch of feasible boundary tuples, +inf
-    where a fit is degenerate.
-
-    The batch is scored by the O(m) fast fits; each configuration they
-    leave undecided (NaN) is scored by the reference fit on its own.
-    Every score is the one that configuration gets alone, whatever else
-    is in the batch.
-    """
-    fast = score_function(series, model)
+def _fallback(fast: Fitness, reference: Reference) -> Fitness:
+    """``fast``'s scores of a batch, each NaN replaced by its tuple's
+    ``reference`` score, or +inf where that fit is degenerate.  Every
+    score is the one its tuple gets alone, whatever else is in the batch."""
 
     def fitness(configs: list[tuple[int, ...]]) -> list[float]:
         scores = fast(configs)
         for i in np.flatnonzero(np.isnan(scores)).tolist():
             try:
-                scores[i] = evaluate(series, model, ChangepointConfiguration(configs[i])).score
+                scores[i] = reference(configs[i]).score
             except DegenerateFitError:
                 scores[i] = _INF
         return scores.tolist()
@@ -239,22 +235,19 @@ def _model_fitness(series: TimeSeries, model: ModelSpec) -> Fitness:
     return fitness
 
 
-def _refit(series: TimeSeries, model: ModelSpec, taus: tuple[int, ...], score: float) -> FitResult:
-    """The reference fit of a search winner, checked against its search score."""
+def _refit(reference: Reference, taus: tuple[int, ...], score: float) -> FitResult:
+    """The ``reference`` fit of a search winner, checked against its search score."""
     if score == _INF:
         raise DegenerateFitError("every configuration encountered fits the data exactly")
-    best = evaluate(series, model, ChangepointConfiguration(taus))
-    check_refit(model.label(), taus, score, best.score)
+    best = reference(taus)
+    if not math.isclose(best.score, score, rel_tol=REFIT_RTOL, abs_tol=REFIT_RTOL):
+        raise RefitMismatchError(f"{best.model.label()} at {taus}: search score "
+                                 f"{score!r}, reference refit {best.score!r}")
     return best
 
 
-def check_refit(label: str, taus: tuple[int, ...], score: float, refit: float) -> None:
-    """Raise :class:`RefitMismatchError` unless a search winner's reference
-    refit ``refit`` is within ``REFIT_RTOL`` of the ``score`` it was ranked by."""
-    if not math.isclose(refit, score, rel_tol=REFIT_RTOL, abs_tol=REFIT_RTOL):
-        raise RefitMismatchError(
-            f"{label} at {taus}: search score {score!r}, reference refit {refit!r}"
-        )
+def _reference(series: TimeSeries, model: ModelSpec) -> Reference:
+    return lambda taus: evaluate(series, model, ChangepointConfiguration(taus))
 
 
 def _enumerate_configs(n: int, min_len: int, max_m: int) -> Iterator[tuple[int, ...]]:
@@ -290,7 +283,8 @@ def exhaustive_optimize(
         )
     if max_m is None:
         max_m = n - 1
-    fitness = _model_fitness(series, model)
+    reference = _reference(series, model)
+    fitness = _fallback(score_function(series, model), reference)
     best_key = None
     evaluations = 0
     configs = _enumerate_configs(n, min_len, max_m)
@@ -299,7 +293,7 @@ def exhaustive_optimize(
         key = min(zip(fitness(chunk), map(len, chunk), chunk))
         if best_key is None or key < best_key:
             best_key = key
-    best = _refit(series, model, best_key[2], best_key[0])
+    best = _refit(reference, best_key[2], best_key[0])
     return SearchReport(
         best=best,
         score_history=(best.score,),
@@ -478,7 +472,8 @@ def ga_minimize(
     InfeasibleModelError
         If ``n < 2 * min_len``, i.e. no single changepoint is feasible.
     DomainError
-        If ``max_m < 0``.
+        If ``max_m < 0``, or an ``initial`` tuple is not a configuration
+        of a length-``n`` series.
     DegenerateFitError
         If every configuration encountered scores +inf.
     """
@@ -490,6 +485,8 @@ def ga_minimize(
     cap = length if max_m is None else max_m
     if cap < 0:
         raise DomainError("max_m must be >= 0")
+    for taus in initial:
+        ChangepointConfiguration(taus)._check_n(n)
     pop_size = params.population_size
     cache: dict[tuple[int, ...], tuple] = {}
 
@@ -545,6 +542,36 @@ def ga_minimize(
     return GARun(best_key[2], best_key[0], tuple(history), generations, len(cache))
 
 
+def ga_search(
+    fast: Fitness, reference: Reference, n: int, min_len: int, params: GAParams = GAParams(),
+    *, max_m: int | None = None, initial: Sequence[tuple[int, ...]] = (),
+) -> SearchReport:
+    """:func:`ga_minimize` over ``fast``'s batch scores, each NaN replaced
+    by the score of ``reference``, the tuple's reference fit (+inf where
+    it raises :class:`DegenerateFitError`).  The winner's ``reference``
+    refit is the report's ``best``.  Raises what :func:`ga_minimize`
+    raises, and :class:`RefitMismatchError` if the refit disagrees with
+    the winner's search score by more than ``REFIT_RTOL``.
+    """
+    run = ga_minimize(
+        _fallback(fast, reference), n, min_len, params, max_m=max_m, initial=initial
+    )
+    best = _refit(reference, run.taus, run.score)
+    # The final best entries are the winner's fast score; report its refit
+    # there, without letting an earlier entry fall below it.
+    history = tuple(
+        best.score if score == run.score else max(score, best.score)
+        for score in run.score_history
+    )
+    return SearchReport(
+        best=best,
+        score_history=history,
+        generations_run=run.generations_run,
+        evaluations_count=run.evaluations_count,
+        seed=params.seed,
+    )
+
+
 def ga_optimize(
     series: TimeSeries,
     model: ModelSpec,
@@ -561,6 +588,7 @@ def ga_optimize(
     tournament-selected, uniformly crossed, mutated children.  The
     search stops after ``stagnation_limit`` generations without a
     strict improvement of the best score, or at ``max_generations``.
+    The search is :func:`ga_search` with :func:`evaluate` as reference.
 
     ``initial`` seeds known-good configurations into the starting
     population (alongside the always-included empty configuration).
@@ -575,24 +603,8 @@ def ga_optimize(
     RefitMismatchError
         If the winner's reference refit disagrees with its search score.
     """
-    n = series.n
-    for config in initial:
-        config._check_n(n)
-    run = ga_minimize(
-        _model_fitness(series, model), n, min_segment_length(model), params,
+    return ga_search(
+        score_function(series, model), _reference(series, model), series.n,
+        min_segment_length(model), params,
         max_m=max_m, initial=[config.taus for config in initial],
-    )
-    best = _refit(series, model, run.taus, run.score)
-    # The final best entries are the winner's fast score; report its refit
-    # there, without letting an earlier entry fall below it.
-    history = tuple(
-        best.score if score == run.score else max(score, best.score)
-        for score in run.score_history
-    )
-    return SearchReport(
-        best=best,
-        score_history=history,
-        generations_run=run.generations_run,
-        evaluations_count=run.evaluations_count,
-        seed=params.seed,
     )

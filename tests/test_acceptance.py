@@ -119,7 +119,7 @@ def test_criterion_06_variance_search_on_trend_residuals_flat(cet_series, cet_fi
 
 
 def test_criterion_07_joinpin_flags_1972_and_is_continuous(cet_series):
-    fit = joinpin_search(cet_series, sigma2_fixed=0.29, params=GAParams(seed=0))
+    fit = joinpin_search(cet_series, sigma2_fixed=0.29, params=GAParams(seed=0)).best
     years = tuple(cet_series.first_year + tau for tau in fit.config.taus)
     assert years == (1972,)
     fitted = fitted_values_of(fit, cet_series)
@@ -132,7 +132,7 @@ def test_criterion_07_joinpin_flags_1972_and_is_continuous(cet_series):
     for factor in (0.8, 1.2):
         wobble = joinpin_search(
             cet_series, sigma2_fixed=0.29 * factor, params=GAParams(seed=0)
-        )
+        ).best
         flagged = tuple(cet_series.first_year + t for t in wobble.config.taus)
         assert flagged == (1972,), f"sigma2 x{factor} flagged {flagged}"
 

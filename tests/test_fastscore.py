@@ -10,14 +10,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cetseg import ChangepointConfiguration, DegenerateFitError, ModelSpec, TimeSeries
+from cetseg import ChangepointConfiguration, DegenerateFitError, ModelSpec, TimeSeries, search
 from cetseg.fastscore import joinpin_rss, score_function
 from cetseg.joinpin import _neg2loglik, default_knot_penalty, fit_joinpin, joinpin_search
 from cetseg.search import (
     REFIT_RTOL,
     GAParams,
     RefitMismatchError,
-    _model_fitness,
     _repair,
     evaluate,
     min_segment_length,
@@ -33,6 +32,12 @@ SEARCH_FAMILIES = (
 )
 MODELS = [ModelSpec(mean, errors, penalty)
           for mean, errors in SEARCH_FAMILIES for penalty in ("bic", "mdl")]
+
+
+def _searched(series, model, configs):
+    """The scores a search of ``model`` ranks ``configs`` by."""
+    reference = search._reference(series, model)
+    return search._fallback(score_function(series, model), reference)(configs)
 
 
 def _close(a: float, b: float) -> bool:
@@ -97,7 +102,7 @@ def test_fast_score_matches_reference(case):
     model, series, taus = case
     reference = _reference(series, model, taus)
     [fast] = score_function(series, model)([taus])
-    [searched] = _model_fitness(series, model)([taus])
+    [searched] = _searched(series, model, [taus])
     if reference is None:
         # a degenerate fit is never scored fast: it falls back and ranks last
         assert math.isnan(fast)
@@ -124,7 +129,7 @@ def test_constant_series_falls_back_to_degenerate(model):
     series = TimeSeries(1900, np.full(12, level))
     taus = (4, 8)
     assert math.isnan(score_function(series, model)([taus])[0])
-    assert _model_fitness(series, model)([taus]) == [math.inf]
+    assert _searched(series, model, [taus]) == [math.inf]
 
 
 @pytest.mark.parametrize("model", MODELS, ids=ModelSpec.label)
@@ -142,8 +147,6 @@ def test_scorer_is_freed_without_the_cycle_collector(model):
 
 
 def test_winner_whose_refit_disagrees_raises(monkeypatch):
-    from cetseg import search
-
     monkeypatch.setattr(search, "score_function",
                         lambda series, model: lambda configs: np.full(len(configs), -1.0))
     series = simulate_series(SimSpec(n=12, phi=0.4, seed=5))

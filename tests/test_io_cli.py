@@ -149,6 +149,23 @@ class TestLoadSeries:
         with pytest.raises(DataError, match="format"):
             load_series(str(p), fmt="tsv")
 
+    @pytest.mark.parametrize("fmt, text", [
+        ("csv", "1900,1.0\n1901,2.0\n1902,3.0\n"),
+        ("hadcet", _hadcet_text([(1900, 1.0), (1901, 2.0), (1902, 3.0)], header=False)),
+    ], ids=["csv", "hadcet"])
+    def test_byte_order_mark_keeps_the_first_year(self, tmp_path, fmt, text):
+        # the mark used to make line 1 non-numeric, so it was skipped as a header
+        p = tmp_path / "bom.txt"
+        p.write_text("\ufeff" + text, encoding="utf-8")
+        series = load_series(str(p), fmt=fmt)
+        assert (series.first_year, series.n) == (1900, 3)
+
+    def test_undecodable_input_is_a_data_error(self, tmp_path):
+        p = tmp_path / "bad.bin"
+        p.write_bytes(b"\xff\xfe1900,1.0\n")
+        with pytest.raises(DataError, match="cannot read"):
+            load_series(str(p), fmt="csv")
+
 
 def _shifted_series(n=24, tau=12):
     rng = np.random.default_rng(99)
@@ -367,6 +384,13 @@ class TestCliFit:
     def test_missing_input_exits_2(self, tmp_path, capsys):
         assert main(["fit", "--input", str(tmp_path / "nope.csv"),
                      "--format", "csv", "--model", "mean-shift"]) == 2
+
+    def test_undecodable_input_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "bad.bin"
+        path.write_bytes(b"\xff\xfe1900,1.0\n")
+        assert main(["fit", "--input", str(path), "--format", "csv",
+                     "--model", "mean-shift"]) == 2
+        assert capsys.readouterr().err.startswith(f"error: cannot read {path}: ")
 
     def test_unwritable_plot_path_exits_2(self, csv_file, tmp_path, capsys):
         path = tmp_path / "missing" / "fit.svg"

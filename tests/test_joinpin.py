@@ -6,7 +6,14 @@ import pytest
 
 from conftest import lean_ga
 
-from cetseg import ChangepointConfiguration, DomainError, FitResult, TimeSeries
+from cetseg import (
+    ChangepointConfiguration,
+    DegenerateFitError,
+    DomainError,
+    FitResult,
+    TimeSeries,
+)
+from cetseg import joinpin
 from cetseg.estimation import LOG_2PI
 from cetseg.io import fitted_values_of
 from cetseg.joinpin import (
@@ -16,6 +23,7 @@ from cetseg.joinpin import (
     fit_joinpin,
     joinpin_search,
 )
+from cetseg.search import SearchReport
 
 
 def _series(seed: int, n: int, sigma: float = 1.0) -> TimeSeries:
@@ -114,6 +122,11 @@ class TestFitJoinpin:
         explicit = fit_joinpin(series, cfg, 0.5, knot_penalty=default_knot_penalty(15))
         assert fit.bic_score == pytest.approx(explicit.bic_score, abs=1e-12)
 
+    def test_singular_design_is_degenerate(self):
+        # a knot at the last index gives an all-zero ramp column
+        with pytest.raises(DegenerateFitError, match="singular"):
+            _least_squares(np.arange(6.0), (6,))
+
     def test_rejects_bad_inputs(self):
         series = _series(14, 12)
         with pytest.raises(DomainError):
@@ -144,7 +157,7 @@ def _exhaustive_joinpin(series, sigma2, max_m):
 class TestJoinpinSearch:
     def test_recovers_clean_kink(self):
         series = _kinked(50, tau=25, slope_gain=-1.0, sigma=0.05, seed=21)
-        fit = joinpin_search(series, sigma2_fixed=0.0025, params=lean_ga(seed=1))
+        fit = joinpin_search(series, sigma2_fixed=0.0025, params=lean_ga(seed=1)).best
         assert isinstance(fit, FitResult)
         assert fit.config.taus == (25,)
         assert fit.slopes[0] == pytest.approx(0.5, abs=0.02)
@@ -156,34 +169,45 @@ class TestJoinpinSearch:
             oracle = _exhaustive_joinpin(series, sigma2=1.0, max_m=2)
             found = joinpin_search(
                 series, sigma2_fixed=1.0, max_m=2, params=lean_ga(seed=seed)
-            )
+            ).best
             assert found.bic_score == pytest.approx(oracle.bic_score, abs=1e-9), (
                 f"seed {seed}: GA {found.config.taus} vs oracle {oracle.config.taus}"
             )
 
     def test_max_m_zero_is_plain_ols(self):
         series = _series(41, 20)
-        found = joinpin_search(series, sigma2_fixed=1.0, max_m=0, params=lean_ga())
+        found = joinpin_search(series, sigma2_fixed=1.0, max_m=0, params=lean_ga()).best
         direct = fit_joinpin(series, ChangepointConfiguration(()), 1.0)
         assert found.config.m == 0
         assert found.bic_score == pytest.approx(direct.bic_score, abs=1e-12)
 
     def test_deterministic_for_fixed_seed(self):
         series = _kinked(30, tau=14, slope_gain=0.8, sigma=0.4, seed=42)
-        a = joinpin_search(series, 0.16, params=lean_ga(seed=9))
-        b = joinpin_search(series, 0.16, params=lean_ga(seed=9))
+        a = joinpin_search(series, 0.16, params=lean_ga(seed=9)).best
+        b = joinpin_search(series, 0.16, params=lean_ga(seed=9)).best
         assert a.config.taus == b.config.taus
         assert a.bic_score == b.bic_score
 
-    def test_custom_knot_penalty_changes_selection_pressure(self):
-        # a strong enough charge forces the flat fit
+    def test_reports_like_the_other_searches(self):
         series = _kinked(40, tau=20, slope_gain=-0.6, sigma=0.3, seed=43)
-        cheap = joinpin_search(series, 0.09, params=lean_ga(seed=2))
-        assert cheap.config.m >= 1
-        costly = joinpin_search(
-            series, 0.09, params=lean_ga(seed=2), knot_penalty=1e6
+        report = joinpin_search(series, 0.09, params=lean_ga(seed=2))
+        assert isinstance(report, SearchReport)
+        history = report.score_history
+        assert len(history) == report.generations_run + 1
+        assert all(b <= a for a, b in zip(history, history[1:]))
+        assert history[-1] == report.best.score
+        assert report.evaluations_count >= lean_ga().population_size
+        assert report.seed == 2
+
+    def test_undecided_fast_scores_fall_back_to_the_fit(self, monkeypatch):
+        # with no fast RSS, every knot tuple is scored by fit_joinpin alone
+        series = _kinked(30, tau=14, slope_gain=0.8, sigma=0.4, seed=42)
+        monkeypatch.setattr(
+            joinpin, "joinpin_rss",
+            lambda values: lambda configs: np.full(len(configs), np.nan),
         )
-        assert costly.config.m == 0
+        report = joinpin_search(series, 0.16, params=lean_ga(seed=9))
+        assert report.best == fit_joinpin(series, report.best.config, 0.16)
 
     def test_rejects_bad_variance(self):
         series = _series(44, 20)
@@ -205,7 +229,7 @@ def test_golden_search_answer(seed, taus, score):
         n=120, taus=(40, 85), mus=(0.0, 1.0, 0.3), betas=(0.0, 0.01, -0.01),
         phi=0.3, sigma=0.6, seed=seed, first_year=1900))
     params = GAParams(population_size=40, max_generations=40, stagnation_limit=15, seed=seed)
-    fit = joinpin_search(series, 0.36, params=params)
+    fit = joinpin_search(series, 0.36, params=params).best
     assert fit.config.taus == taus
     assert repr(fit.bic_score) == score
 
@@ -221,6 +245,6 @@ def test_golden_search_answer_at_the_paper_length():
         betas=(0.0, 0.0, 0.003, 0.02), phi=0.06, sigma=0.54, seed=1, first_year=1659))
     params = GAParams(max_generations=40)
     stage = ga_optimize(series, ModelSpec("trend-shift", "wn", "bic"), params)
-    fit = joinpin_search(series, stage.best.sigma2_hat, params=params)
+    fit = joinpin_search(series, stage.best.sigma2_hat, params=params).best
     assert fit.config.taus == (78, 80, 328, 330)
     assert repr(fit.bic_score) == "623.7563344906548"

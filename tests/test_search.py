@@ -17,6 +17,7 @@ from cetseg import (
     TimeSeries,
     estimation,
 )
+from cetseg.fastscore import score_function
 from cetseg.penalties import penalty_value
 from cetseg import search
 from cetseg.search import (
@@ -24,12 +25,14 @@ from cetseg.search import (
     GAParams,
     _bit_matrix,
     _enumerate_configs,
-    _model_fitness,
+    _fallback,
+    _reference,
     _repair,
     evaluate,
     exhaustive_optimize,
     ga_minimize,
     ga_optimize,
+    ga_search,
     min_segment_length,
     shared_draws,
 )
@@ -52,6 +55,11 @@ def ar1_series(seed: int, n: int, phi: float = 0.5) -> TimeSeries:
     for t in range(1, n + 50):
         x[t] = phi * x[t - 1] + z[t]
     return TimeSeries(1900, x[50:])
+
+
+def _model_fitness(series, model):
+    """The scores ``ga_optimize`` ranks ``model``'s configurations by."""
+    return _fallback(score_function(series, model), _reference(series, model))
 
 
 def _segmentations(n, min_len):
@@ -392,6 +400,30 @@ class TestGA:
         series = TimeSeries(1900, np.zeros(20))
         with pytest.raises(DegenerateFitError):
             ga_optimize(series, ModelSpec("mean-shift", "ar1"), lean_ga())
+
+    def test_undecided_scores_fall_back_to_the_reference(self):
+        # every fast score is NaN, so the reference scores every configuration
+        series = ar1_series(19, 30)
+        model = ModelSpec("trend-shift", "wn")
+        fitted = []
+
+        def reference(taus):
+            fitted.append(taus)
+            return evaluate(series, model, ChangepointConfiguration(taus))
+
+        undecided = lambda configs: np.full(len(configs), np.nan)
+        report = ga_search(undecided, reference, series.n, 3, lean_ga(seed=2))
+        # one reference fit per distinct configuration, plus the winner's refit
+        assert len(fitted) == report.evaluations_count + 1
+        assert report.best == evaluate(series, model, report.best.config)
+        assert report.score_history[-1] == report.best.score
+
+    @pytest.mark.parametrize("initial", [(20,), (0, 5), (5, 3)])
+    def test_initial_tuple_that_is_no_configuration_rejected(self, initial):
+        # (20,) used to end in an IndexError, and (0, 5) silently seeded boundary 13
+        with pytest.raises(DomainError):
+            ga_minimize(lambda configs: [0.0] * len(configs), 14, 1, lean_ga(),
+                        initial=[initial])
 
     def test_initial_config_out_of_range_rejected(self):
         series = ar1_series(17, 14)
