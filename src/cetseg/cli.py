@@ -1,7 +1,7 @@
 """Command-line interface.
 
 Subcommands: ``fit`` (one model), ``compare`` (the full model table),
-``residuals`` (mean-decomposition CSV), ``simulate`` (synthetic data).
+``residuals`` (``fit --out csv``), ``simulate`` (synthetic data).
 Exit codes: 0 success, 2 bad input data or request/data mismatch,
 3 infeasible model constraints.
 
@@ -144,11 +144,13 @@ def build_parser() -> argparse.ArgumentParser:
                        help="fixed error variance for the joinpin row")
     p_cmp.add_argument("--out", choices=["json", "table"], default="table")
 
+    # `residuals` is `fit --out csv`, without the --out and --plot flags.
     p_res = sub.add_parser("residuals",
                            help="emit year,observed,fitted,residual CSV")
     _add_input_args(p_res)
     _add_model_args(p_res)
     _add_search_args(p_res)
+    p_res.set_defaults(out="csv", plot=None)
 
     p_sim = sub.add_parser("simulate", help="generate a synthetic series as CSV")
     p_sim.add_argument("--n", type=int, required=True)
@@ -178,16 +180,11 @@ def _resolve_seed(value: int | None) -> int:
 
 
 def _ga_params(args: argparse.Namespace) -> GAParams:
-    defaults = GAParams()
-    return GAParams(
-        population_size=args.population if args.population is not None
-        else defaults.population_size,
-        max_generations=args.generations if args.generations is not None
-        else defaults.max_generations,
-        stagnation_limit=args.stagnation if args.stagnation is not None
-        else defaults.stagnation_limit,
-        seed=_resolve_seed(args.seed),
-    )
+    given = {"population_size": args.population, "max_generations": args.generations,
+             "stagnation_limit": args.stagnation}
+    # zero is a value, not "unset": only an absent flag takes the default
+    return GAParams(**{key: value for key, value in given.items() if value is not None},
+                    seed=_resolve_seed(args.seed))
 
 
 def _load(args: argparse.Namespace) -> TimeSeries:
@@ -258,6 +255,10 @@ _TABLE_HEADER = (
 
 def _request(args: argparse.Namespace, series: TimeSeries) -> AnalysisRequest:
     """The request of a one-model subcommand (``fit`` or ``residuals``)."""
+    if args.sigma2 is not None:
+        check_variance(args.sigma2)
+        if args.model != "joinpin":
+            raise DomainError(f"--sigma2 applies to joinpin only, not {args.model}")
     errors = args.errors or FAMILIES[MeanStructure(args.model)].errors[0].value
     return AnalysisRequest(
         series=series, model=args.model, errors=errors, penalty=args.penalty,
@@ -321,14 +322,6 @@ def _cmd_compare(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_residuals(args: argparse.Namespace) -> int:
-    series = _load(args)
-    result, _, fitted = run_analysis(_request(args, series))
-    sys.stdout.write(decomposition_to_csv(series, fitted))
-    print(f"seed: {result['seed']}", file=sys.stderr)
-    return 0
-
-
 def _parse_floats(text: str, flag: str) -> tuple[float, ...]:
     try:
         return tuple(float(tok) for tok in text.split(",") if tok.strip() != "")
@@ -359,12 +352,10 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        if args.command == "fit":
+        if args.command in ("fit", "residuals"):
             return _cmd_fit(args)
         if args.command == "compare":
             return _cmd_compare(args)
-        if args.command == "residuals":
-            return _cmd_residuals(args)
         return _cmd_simulate(args)
     except (DataError, DegenerateFitError) as err:
         print(f"error: {err}", file=sys.stderr)

@@ -15,7 +15,6 @@ directly.
 from __future__ import annotations
 
 import math
-from functools import lru_cache
 
 import numpy as np
 
@@ -42,11 +41,17 @@ __all__ = [
 LOG_2PI = math.log(2.0 * math.pi)
 
 
-@lru_cache(maxsize=8)
-def _time_index(n: int) -> np.ndarray:
-    t = np.arange(1.0, n + 1.0)
-    t.flags.writeable = False
-    return t
+def _regime_moments(series: TimeSeries, config: ChangepointConfiguration):
+    """Per regime on the global time index: the means xbar and tbar, and the
+    sums of (t - tbar)(x - xbar) and of (t - tbar)^2."""
+    x = series.values
+    t = np.arange(1.0, series.n + 1.0)
+    for s in config.slices(series.n):
+        xs, ts = x[s], t[s]
+        tbar = ts.mean()
+        xbar = xs.mean()
+        dt = ts - tbar
+        yield xbar, tbar, np.dot(dt, xs - xbar), np.dot(dt, dt)
 
 
 def fit_mean_shift(series: TimeSeries, config: ChangepointConfiguration) -> tuple[float, ...]:
@@ -78,16 +83,10 @@ def fit_trend_shift(
         two points leaves no residual information.
     """
     config.validate_for(series.n, FAMILIES[MeanStructure.TREND_SHIFT].min_len)
-    x = series.values
-    t = _time_index(series.n)
     intercepts = []
     slopes = []
-    for s in config.slices(series.n):
-        xs, ts = x[s], t[s]
-        tbar = ts.mean()
-        xbar = xs.mean()
-        dt = ts - tbar
-        beta = float(np.dot(dt, xs - xbar) / np.dot(dt, dt))
+    for xbar, tbar, sxt, stt in _regime_moments(series, config):
+        beta = float(sxt / stt)
         intercepts.append(float(xbar - beta * tbar))
         slopes.append(beta)
     return tuple(intercepts), tuple(slopes)
@@ -114,18 +113,13 @@ def fit_fixed_slope(
         degenerate when every regime is a singleton).
     """
     config.validate_for(series.n, FAMILIES[MeanStructure.FIXED_SLOPE].min_len)
-    x = series.values
-    t = _time_index(series.n)
     num = 0.0
     den = 0.0
     stats = []
-    for s in config.slices(series.n):
-        xs, ts = x[s], t[s]
-        tbar = ts.mean()
-        xbar = xs.mean()
-        dt = ts - tbar
-        num += float(np.dot(dt, xs - xbar))
-        den += float(np.dot(dt, dt))
+    # added up regime by regime, in order, as the pinned answers were
+    for xbar, tbar, sxt, stt in _regime_moments(series, config):
+        num += float(sxt)
+        den += float(stt)
         stats.append((xbar, tbar))
     if den <= 0.0:
         raise DomainError("no within-regime time variation; slope is unidentifiable")
@@ -145,7 +139,7 @@ def fitted_mean(
     if len(means) != len(slices) or (slopes is not None and len(slopes) != len(slices)):
         raise DomainError("per-regime parameter count does not match configuration")
     f = np.empty(n)
-    t = _time_index(n)
+    t = np.arange(1.0, n + 1.0)
     for i, s in enumerate(slices):
         f[s] = means[i] if slopes is None else means[i] + slopes[i] * t[s]
     return f

@@ -19,7 +19,7 @@ import csv
 import io as _io
 import json
 import warnings
-from typing import Any
+from typing import Any, Callable, Iterator
 
 from .core import DataError, DomainError, FitResult, TimeSeries
 from .estimation import fitted_mean
@@ -39,24 +39,35 @@ __all__ = [
 
 MISSING_CODES = (-99.9, -99.99)
 
+_Rows = Iterator[tuple[int, float, int]]  # (year, value, line number)
+
 
 def _is_missing(value: float) -> bool:
     return any(value == code for code in MISSING_CODES)
 
 
-def _build_series(rows: list[tuple[int, float, int]], what: str) -> TimeSeries:
-    """Assemble (year, value, lineno) rows into a series, enforcing
-    consecutive years."""
+def _build_series(text: str, rows_of: Callable[[str], _Rows], what: str,
+                  value_name: str, drop_reason: str) -> TimeSeries:
+    """Assemble the (year, value, lineno) rows that ``rows_of`` reads from
+    ``text``, less a leading byte-order mark, into a series: a missing final
+    value is dropped with a warning as the in-progress year, and any other
+    missing value or a break in the consecutive years is an error."""
+    rows = list(rows_of(text.removeprefix("\ufeff")))
+    if rows and _is_missing(rows[-1][1]):
+        warnings.warn(f"dropping year {rows[-1][0]}: {drop_reason}", stacklevel=3)
+        rows.pop()
+    for year, value, lineno in rows:
+        if _is_missing(value):
+            raise DataError(f"line {lineno}: missing {value_name} for year {year}")
     if not rows:
         raise DataError(f"no data rows found in {what} input")
-    years = [r[0] for r in rows]
     for (y0, _, _), (y1, _, line) in zip(rows, rows[1:]):
         if y1 == y0:
             raise DataError(f"line {line}: duplicate year {y1}")
         if y1 != y0 + 1:
             raise DataError(f"line {line}: year {y1} does not follow {y0} (gap)")
     try:
-        return TimeSeries(years[0], [r[1] for r in rows])
+        return TimeSeries(rows[0][0], [r[1] for r in rows])
     except DomainError as err:
         raise DataError(str(err)) from err
 
@@ -69,7 +80,11 @@ def parse_hadcet(text: str) -> TimeSeries:
     error unless it is the final row, which is dropped with a warning
     as the in-progress year.
     """
-    rows: list[tuple[int, float, int]] = []
+    return _build_series(text, _hadcet_rows, "annual-layout", "annual mean",
+                         "annual mean not yet available")
+
+
+def _hadcet_rows(text: str) -> _Rows:
     in_data = False
     for lineno, line in enumerate(text.splitlines(), start=1):
         tokens = line.split()
@@ -81,19 +96,7 @@ def parse_hadcet(text: str) -> TimeSeries:
                 raise DataError(f"line {lineno}: malformed row {line.strip()!r}")
             continue
         in_data = True
-        year, annual = parsed
-        rows.append((year, annual, lineno))
-
-    if rows and _is_missing(rows[-1][1]):
-        warnings.warn(
-            f"dropping year {rows[-1][0]}: annual mean not yet available",
-            stacklevel=2,
-        )
-        rows.pop()
-    for year, value, lineno in rows:
-        if _is_missing(value):
-            raise DataError(f"line {lineno}: missing annual mean for year {year}")
-    return _build_series(rows, "annual-layout")
+        yield *parsed, lineno
 
 
 def _try_hadcet_row(tokens: list[str]) -> tuple[int, float] | None:
@@ -109,7 +112,10 @@ def _try_hadcet_row(tokens: list[str]) -> tuple[int, float] | None:
 
 def parse_csv(text: str) -> TimeSeries:
     """Parse two-column (year, value) CSV, optional single header line."""
-    rows: list[tuple[int, float, int]] = []
+    return _build_series(text, _csv_rows, "csv", "value", "value marked missing")
+
+
+def _csv_rows(text: str) -> _Rows:
     for lineno, record in enumerate(csv.reader(_io.StringIO(text)), start=1):
         if not record or all(not cell.strip() for cell in record):
             continue
@@ -119,28 +125,18 @@ def parse_csv(text: str) -> TimeSeries:
             year = int(record[0].strip())
             value = float(record[1].strip())
         except ValueError:
-            if lineno == 1 and not rows:
+            if lineno == 1:
                 continue
             raise DataError(
                 f"line {lineno}: non-numeric cell in {record!r}"
             ) from None
-        rows.append((year, value, lineno))
-
-    if rows and _is_missing(rows[-1][1]):
-        warnings.warn(
-            f"dropping year {rows[-1][0]}: value marked missing", stacklevel=2
-        )
-        rows.pop()
-    for year, value, lineno in rows:
-        if _is_missing(value):
-            raise DataError(f"line {lineno}: missing value for year {year}")
-    return _build_series(rows, "csv")
+        yield year, value, lineno
 
 
 def load_series(path: str, fmt: str = "hadcet") -> TimeSeries:
     """Read a series from a UTF-8 file, with or without a byte-order mark."""
     try:
-        with open(path, encoding="utf-8-sig") as fh:
+        with open(path, encoding="utf-8") as fh:
             text = fh.read()
     except (OSError, UnicodeDecodeError) as err:
         raise DataError(f"cannot read {path}: {err}") from err

@@ -49,7 +49,7 @@ def penalty_function(model: ModelSpec, n: int) -> Callable[[Regimes], np.ndarray
     """
     family = model.family
     if family.regime_params is None:
-        raise DomainError(f"no {model.penalty.name} table entry for {model.label()}")
+        raise DomainError(f"{model.label()} carries its own scoring rule")
     r, g = family.regime_params, family.global_params
     a = int(model.error_model is ErrorModel.AR1)
     log_n = math.log(n)

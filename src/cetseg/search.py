@@ -107,7 +107,8 @@ def evaluate(series: TimeSeries, model: ModelSpec, config: ChangepointConfigurat
     Raises
     ------
     DomainError
-        If the configuration violates the model's segment constraints.
+        If the configuration violates the model's segment constraints,
+        and for the families that carry their own scoring rule.
     DegenerateFitError
         If the fit leaves zero innovation variance.
     """
@@ -125,11 +126,9 @@ def evaluate(series: TimeSeries, model: ModelSpec, config: ChangepointConfigurat
         slopes = None
     elif ms is MeanStructure.TREND_SHIFT:
         means, slopes = estimation.fit_trend_shift(series, config)
-    elif ms is MeanStructure.FIXED_SLOPE:
+    else:  # fixed-slope: joinpin and long-memory have raised above
         means, beta = estimation.fit_fixed_slope(series, config)
         slopes = (beta,) * (config.m + 1)
-    else:
-        raise DomainError(f"{ms.value} is not fitted through this search")
 
     d = series.values - estimation.fitted_mean(config, means, slopes, n)
     if model.error_model is ErrorModel.AR1:

@@ -53,6 +53,21 @@ def _hadcet_text(pairs, header=True) -> str:
     return "\n".join(lines) + "\n"
 
 
+# headerless three-year inputs, to be prefixed with a byte-order mark
+_BOM_CASES = pytest.mark.parametrize("fmt, text", [
+    ("csv", "1900,1.0\n1901,2.0\n1902,3.0\n"),
+    ("hadcet", _hadcet_text([(1900, 1.0), (1901, 2.0), (1902, 3.0)], header=False)),
+], ids=["csv", "hadcet"])
+_PARSERS = {"csv": parse_csv, "hadcet": parse_hadcet}
+
+
+@_BOM_CASES
+def test_parsers_drop_a_leading_byte_order_mark(fmt, text):
+    # the mark used to make line 1 non-numeric, so it was skipped as a header
+    series = _PARSERS[fmt]("\ufeff" + text)
+    assert (series.first_year, series.n) == (1900, 3)
+
+
 class TestParseHadcet:
     def test_last_token_is_the_annual_mean(self):
         series = parse_hadcet(_hadcet_text([(1659, 8.87), (1660, 9.10)]))
@@ -78,6 +93,18 @@ class TestParseHadcet:
         text = _hadcet_text([(2019, 10.1), (2020, -99.99), (2021, 10.3)])
         with pytest.raises(DataError, match="2020"):
             parse_hadcet(text)
+
+    def test_missing_value_texts(self):
+        rows = [(2019, 10.1), (2020, 10.3), (2021, -99.9)]
+        with pytest.warns(UserWarning) as record:
+            parse_hadcet(_hadcet_text(rows))
+        [warning] = record
+        assert str(warning.message) == "dropping year 2021: annual mean not yet available"
+        assert warning.filename == __file__  # attributed to the parser's caller
+        rows = [(2019, 10.1), (2020, -99.99), (2021, 10.3)]
+        with pytest.raises(DataError) as err:
+            parse_hadcet(_hadcet_text(rows))
+        assert str(err.value) == "line 5: missing annual mean for year 2020"
 
     def test_year_gap_is_an_error(self):
         with pytest.raises(DataError, match="gap"):
@@ -130,6 +157,16 @@ class TestParseCsv:
             series = parse_csv("2000,9.1\n2001,9.3\n2002,-99.99\n")
         assert series.last_year == 2001
 
+    def test_missing_value_texts(self):
+        with pytest.warns(UserWarning) as record:
+            parse_csv("2000,9.1\n2001,9.3\n2002,-99.99\n")
+        [warning] = record
+        assert str(warning.message) == "dropping year 2002: value marked missing"
+        assert warning.filename == __file__  # attributed to the parser's caller
+        with pytest.raises(DataError) as err:
+            parse_csv("year,value\n2000,9.1\n2001,-99.9\n2002,9.3\n")
+        assert str(err.value) == "line 3: missing value for year 2001"
+
     def test_parse_emit_round_trip_is_exact(self):
         spec = SimSpec(n=50, phi=0.4, sigma=0.9, seed=8, first_year=1888)
         original = simulate_series(spec)
@@ -149,12 +186,8 @@ class TestLoadSeries:
         with pytest.raises(DataError, match="format"):
             load_series(str(p), fmt="tsv")
 
-    @pytest.mark.parametrize("fmt, text", [
-        ("csv", "1900,1.0\n1901,2.0\n1902,3.0\n"),
-        ("hadcet", _hadcet_text([(1900, 1.0), (1901, 2.0), (1902, 3.0)], header=False)),
-    ], ids=["csv", "hadcet"])
+    @_BOM_CASES
     def test_byte_order_mark_keeps_the_first_year(self, tmp_path, fmt, text):
-        # the mark used to make line 1 non-numeric, so it was skipped as a header
         p = tmp_path / "bom.txt"
         p.write_text("\ufeff" + text, encoding="utf-8")
         series = load_series(str(p), fmt=fmt)
@@ -295,6 +328,15 @@ class TestCliFit:
         via_residuals = capsys.readouterr().out
         assert via_fit == via_residuals
 
+    @pytest.mark.parametrize("flag", [["--out", "json"], ["--plot", "x.svg"]])
+    def test_residuals_takes_no_output_flags(self, csv_file, capsys, flag):
+        # `residuals` is `fit --out csv`, but its parser has no --out or --plot
+        with pytest.raises(SystemExit) as exit_:
+            main(["residuals", "--input", csv_file, "--format", "csv",
+                  "--model", "mean-shift", *flag])
+        assert exit_.value.code == 2
+        assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
+
     def test_same_seed_is_byte_identical(self, csv_file, capsys):
         args = _fit_args(csv_file, "--model", "trend-shift", "--out", "json",
                          "--seed", "11")
@@ -399,17 +441,32 @@ class TestCliFit:
         assert captured.out == ""
         assert captured.err.startswith(f"error: cannot write {path}: ")
 
-    @pytest.mark.parametrize("command", ["fit", "compare"])
+    @pytest.mark.parametrize("command", ["fit", "compare", "residuals"])
     @pytest.mark.parametrize("sigma2", ["nan", "inf", "-1", "0"])
     def test_joinpin_sigma2_must_be_finite_and_positive(self, csv_file, capsys,
                                                          command, sigma2):
         argv = [command, "--input", csv_file, "--format", "csv", *FAST, "--sigma2", sigma2]
-        if command == "fit":
+        if command != "compare":
             argv += ["--model", "joinpin"]
         assert main(argv) == 3
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "sigma2_fixed must be finite and positive" in captured.err
+
+    @pytest.mark.parametrize("command", ["fit", "residuals"])
+    @pytest.mark.parametrize("sigma2, message", [
+        ("0.3", "--sigma2 applies to joinpin only, not trend-shift"),
+        ("-5", "sigma2_fixed must be finite and positive"),
+    ], ids=["valid", "invalid"])
+    def test_sigma2_with_another_model_exits_3(self, csv_file, capsys, command,
+                                                sigma2, message):
+        # a --sigma2 that the model ignores used to exit 0, even when invalid
+        argv = [command, "--input", csv_file, "--format", "csv", *FAST,
+                "--model", "trend-shift", "--sigma2", sigma2]
+        assert main(argv) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert message in captured.err
 
     def test_variance_shift_json(self, csv_file, capsys):
         rc = main(_fit_args(csv_file, "--model", "variance-shift", "--out", "json",
