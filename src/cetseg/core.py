@@ -84,8 +84,9 @@ class TimeSeries:
     first_year : int
         Calendar year of the first observation.
     values : array_like
-        Observed values, one per consecutive year.  Must be finite;
-        missing values are rejected at ingestion, not here represented.
+        Observed values, one per consecutive year.  Must be finite, and
+        so must their sum of squares; missing values are rejected at
+        ingestion, not here represented.
     """
 
     first_year: int
@@ -97,6 +98,9 @@ class TimeSeries:
             raise DomainError("series must contain at least one observation")
         if not np.all(np.isfinite(arr)):
             raise DomainError("series values must be finite")
+        with np.errstate(over="ignore"):
+            if not math.isfinite(np.dot(arr, arr)):
+                raise DomainError("series values are too large: their sum of squares overflows")
         object.__setattr__(self, "values", arr)
         object.__setattr__(self, "first_year", int(self.first_year))
 
@@ -213,8 +217,6 @@ class Regimes:
         self.row = np.repeat(np.arange(size), counts)
         self.col = np.arange(self.row.size) - self.first[self.row]
         self.width = int(counts.max())
-        # Cell of each regime in a row-major (rows x width) table.
-        self._cell = self.row * self.width + self.col
         self.ends = np.full(self.row.size, n)
         closed = np.ones(self.row.size, bool)
         closed[self.last] = False
@@ -228,13 +230,10 @@ class Regimes:
     def row_sums(self, *terms: np.ndarray) -> np.ndarray:
         """Per-row sums of per-regime ``terms``, added one at a time in
         regime order and, within a regime, in the order given: the same
-        floating-point result as a running total in a loop."""
-        k = len(terms)
-        table = np.zeros((self.m.size, self.width * k))
-        cells = table.reshape(-1)
-        for i, term in enumerate(terms):
-            cells[k * self._cell + i] = term
-        return np.cumsum(table, axis=1)[:, -1]
+        floating-point result as a running total in a loop, because
+        ``np.bincount`` adds its weights in index order."""
+        return np.bincount(np.repeat(self.row, len(terms)),
+                           np.column_stack(terms).reshape(-1), self.m.size)
 
 
 class MeanStructure(str, Enum):

@@ -99,7 +99,20 @@ def score_function(series: TimeSeries, model: ModelSpec) -> Scorer:
     penalty = penalty_function(model, series.n)
     if model.mean_structure is MeanStructure.VARIANCE_SHIFT:
         return _variance_scorer(series.values, penalty)
-    return _MeanScorer(series.values, model, penalty).score
+    return _mean_scorer(series.values, model, penalty)
+
+
+def _centred_sums(values: np.ndarray):
+    """``x`` centred on the series mean, ``t`` centred on ``(N + 1) / 2``,
+    the prefix sums of x, x^2, t and t x (one row each), and the floor of
+    the residual sums of squares a scorer keeps."""
+    n = values.size
+    x = values - values.mean()
+    t = np.arange(1.0, n + 1.0) - (n + 1) / 2.0
+    sums = _cumsum(np.stack((x, x * x, t, t * x)))
+    floor = max(CANCELLATION * float(sums[1, n]),
+                RESOLUTION * n * float(np.max(np.abs(values))) ** 2)
+    return x, t, sums, floor
 
 
 def _variance_scorer(values: np.ndarray, penalty) -> Scorer:
@@ -119,99 +132,83 @@ def _variance_scorer(values: np.ndarray, penalty) -> Scorer:
     return score
 
 
-class _MeanScorer:
+def _mean_scorer(values: np.ndarray, model: ModelSpec, penalty) -> Scorer:
     """Scores of one mean structure, with white-noise or AR(1) errors."""
+    n = values.size
+    x, t, sums, floor = _centred_sums(values)
+    # Within-regime centred sum of squares of t over k consecutive indices.
+    k = np.arange(n + 1.0)
+    STT = k * (k * k - 1) / 12.0
+    ar1 = model.error_model is ErrorModel.AR1
+    if ar1:
+        xt = np.stack((x, t))
+        x0, x1, t0, t1 = x[:-1], x[1:], t[:-1], t[1:]
+        # Adjacent-pair sums of x x', x + x', x t' + x' t, t + t' and t t'.
+        pairs = _cumsum(np.stack((x0 * x1, x0 + x1, x0 * t1 + x1 * t0,
+                                  t0 + t1, t0 * t1)))
 
-    def __init__(self, values: np.ndarray, model: ModelSpec, penalty):
-        n = values.size
-        x = values - values.mean()
-        t = np.arange(1.0, n + 1.0) - (n + 1) / 2.0
-        self.n = n
-        self.penalty = penalty
-        # Plain functions, not bound methods: a bound method kept on the
-        # instance is a reference cycle, and would hold these tables until
-        # the cyclic garbage collector runs.
-        self.lines = {
-            MeanStructure.MEAN_SHIFT: _MeanScorer._mean_lines,
-            MeanStructure.TREND_SHIFT: _MeanScorer._trend_lines,
-            MeanStructure.FIXED_SLOPE: _MeanScorer._fixed_slope_lines,
-        }[model.mean_structure]
-        self.ar1 = model.error_model is ErrorModel.AR1
-        # Prefix sums of x, x^2, t and t x, one row each.
-        self.sums = _cumsum(np.stack((x, x * x, t, t * x)))
-        # Within-regime centred sum of squares of t over k consecutive indices.
-        k = np.arange(n + 1.0)
-        self.STT = k * (k * k - 1) / 12.0
-        self.floor = max(CANCELLATION * float(self.sums[1, n]),
-                         RESOLUTION * n * float(np.max(np.abs(values))) ** 2)
-        if self.ar1:
-            self.xt = np.stack((x, t))
-            x0, x1, t0, t1 = x[:-1], x[1:], t[:-1], t[1:]
-            # Adjacent-pair sums of x x', x + x', x t' + x' t, t + t' and t t'.
-            self.pairs = _cumsum(np.stack((x0 * x1, x0 + x1, x0 * t1 + x1 * t0,
-                                           t0 + t1, t0 * t1)))
+    # Each ``*_lines`` takes the regimes and their sums of x, x^2, t and
+    # t x, and returns, per configuration, the residual sum of squares
+    # and, per regime, the level and slope of its line p + q t in the
+    # centred coordinates; slopes are 0.0 for mean shifts.
 
-    # Each ``*_lines`` returns, per configuration, the residual sum of
-    # squares and, per regime, the level and slope of its line p + q t in
-    # the centred coordinates; slopes are 0.0 for mean shifts.
-
-    def _regime_sums(self, regimes: Regimes) -> np.ndarray:
-        """Per regime: the sums of x, x^2, t and t x."""
-        return self.sums[:, regimes.ends] - self.sums[:, regimes.starts]
-
-    def _mean_lines(self, regimes: Regimes):
-        sx, sxx, _, _ = self._regime_sums(regimes)
+    def mean_lines(regimes: Regimes, sx, sxx, st, stx):
         p = sx / regimes.lengths
         return regimes.row_sums(sxx - sx * p), p, 0.0
 
-    def _trend_lines(self, regimes: Regimes):
+    def trend_lines(regimes: Regimes, sx, sxx, st, stx):
         k = regimes.lengths
-        sx, sxx, st, stx = self._regime_sums(regimes)
         stx = stx - st * sx / k
-        q = stx / self.STT[k]
+        q = stx / STT[k]
         rss = regimes.row_sums(sxx - sx * sx / k - stx * q)
         return rss, (sx - q * st) / k, q
 
-    def _fixed_slope_lines(self, regimes: Regimes):
+    def fixed_slope_lines(regimes: Regimes, sx, sxx, st, stx):
         k = regimes.lengths
-        sx, sxx, st, stx = self._regime_sums(regimes)
         level_rss = regimes.row_sums(sxx - sx * sx / k)
         pooled_stx = regimes.row_sums(stx - st * sx / k)
-        pooled_stt = regimes.row_sums(self.STT[k])
+        pooled_stt = regimes.row_sums(STT[k])
         q = pooled_stx / pooled_stt
         slopes = q[regimes.row]
         return level_rss - q * pooled_stx, (sx - slopes * st) / k, slopes
 
-    def _lag1(self, regimes: Regimes, p, q) -> tuple[np.ndarray, np.ndarray]:
+    lines = {
+        MeanStructure.MEAN_SHIFT: mean_lines,
+        MeanStructure.TREND_SHIFT: trend_lines,
+        MeanStructure.FIXED_SLOPE: fixed_slope_lines,
+    }[model.mean_structure]
+
+    def lag1(regimes: Regimes, p, q) -> tuple[np.ndarray, np.ndarray]:
         """Per configuration, the lag-1 cross product of the residuals and
         the last residual."""
         a = regimes.starts
         e = regimes.ends - 1  # pairs (i, i + 1) with a <= i < e lie inside the regime
-        pxx, px, ptx, pt, ptt = self.pairs[:, e] - self.pairs[:, a]
+        pxx, px, ptx, pt, ptt = pairs[:, e] - pairs[:, a]
         inside = pxx - p * px - q * ptx + (e - a) * p * p + p * q * pt + q * q * ptt
         # The pair straddling each boundary: the residual closing the previous
         # regime times the one opening this regime.
-        (x_a, x_e), (t_a, t_e) = self.xt[:, (a, e)]
+        (x_a, x_e), (t_a, t_e) = xt[:, (a, e)]
         closing = x_e - p - q * t_e
         straddling = np.zeros_like(inside)
         straddling[1:] = closing[:-1] * (x_a - p - q * t_a)[1:]
         straddling[regimes.first] = 0.0
         return regimes.row_sums(inside, straddling), closing[regimes.last]
 
-    def score(self, configs: Sequence[tuple[int, ...]]) -> np.ndarray:
-        n = self.n
+    def score(configs: Sequence[tuple[int, ...]]) -> np.ndarray:
         regimes = Regimes(configs, n)
-        rss, p, q = self.lines(self, regimes)
-        kept = rss > self.floor
-        if self.ar1:
+        rss, p, q = lines(regimes, *(sums[:, regimes.ends] - sums[:, regimes.starts]))
+        kept = rss > floor
+        if ar1:
             with np.errstate(divide="ignore", invalid="ignore"):
-                cross, last = self._lag1(regimes, p, q)
+                cross, last = lag1(regimes, p, q)
                 phi = cross / rss
                 n_sigma2 = rss - 2.0 * phi * cross + phi * phi * (rss - last * last)
                 kept &= n_sigma2 > CANCELLATION * rss
         else:
             n_sigma2 = rss
-        return n * (_log(n_sigma2 / n, kept) + 1.0 + LOG_2PI) + self.penalty(regimes)
+        return n * (_log(n_sigma2 / n, kept) + 1.0 + LOG_2PI) + penalty(regimes)
+
+    return score
 
 
 def joinpin_rss(values: np.ndarray) -> Scorer:
@@ -230,12 +227,9 @@ def joinpin_rss(values: np.ndarray) -> Scorer:
     once, one interval position per step.
     """
     n = values.size
-    x = values - values.mean()
     centre = (n + 1) / 2.0
-    X = _cumsum(x)
-    TX = _cumsum((np.arange(1.0, n + 1.0) - centre) * x)
+    x, _, (X, _, _, TX), floor = _centred_sums(values)
     sxx = float(np.dot(x, x))
-    floor = max(CANCELLATION * sxx, RESOLUTION * n * float(np.max(np.abs(values))) ** 2)
     # Per interval length h: the sums of (1 - s/h)^2, s/h (1 - s/h) and (s/h)^2.
     h = np.arange(1.0, n)
     left = np.concatenate(([0.0], (h - 1) * (2 * h - 1) / (6.0 * h)))

@@ -19,6 +19,7 @@ import csv
 import io as _io
 import json
 import warnings
+from dataclasses import asdict
 from typing import Any, Callable, Iterator
 
 from .core import DataError, DomainError, FitResult, TimeSeries
@@ -169,14 +170,8 @@ def decomposition_to_csv(series: TimeSeries, fitted) -> str:
 def _ga_params_dict(params: GAParams | None) -> dict[str, Any] | None:
     if params is None:
         return None
-    return {
-        "population_size": params.population_size,
-        "max_generations": params.max_generations,
-        "stagnation_limit": params.stagnation_limit,
-        "crossover_prob": params.crossover_prob,
-        "mutation_rate": params.mutation_rate,
-        "elite_fraction": params.elite_fraction,
-    }
+    # the seed is reported once, at the top level
+    return {key: value for key, value in asdict(params).items() if key != "seed"}
 
 
 def _segments(fit: FitResult, series: TimeSeries) -> list[dict[str, Any]]:

@@ -280,8 +280,9 @@ def exhaustive_optimize(
         raise InfeasibleModelError(
             f"series of length {n} cannot hold one regime of length {min_len}"
         )
-    if max_m is None:
-        max_m = n - 1
+    max_m = n - 1 if max_m is None else max_m
+    if max_m < 0:
+        raise DomainError("max_m must be >= 0")
     reference = _reference(series, model)
     fitness = _fallback(score_function(series, model), reference)
     best_key = None

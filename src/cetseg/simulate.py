@@ -55,6 +55,8 @@ class SimSpec:
             raise DomainError("|phi| must be < 1 for a stationary noise process")
         if self.sigma < 0.0:
             raise DomainError("sigma must be >= 0")
+        if self.seed < 0:
+            raise DomainError("seed must be a non-negative integer")
 
     @property
     def config(self) -> ChangepointConfiguration:

@@ -1,5 +1,9 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from cetseg import (
     ChangepointConfiguration,
@@ -11,6 +15,7 @@ from cetseg import (
     Penalty,
     TimeSeries,
 )
+from cetseg.core import Regimes
 
 
 class TestTimeSeries:
@@ -35,6 +40,8 @@ class TestTimeSeries:
             TimeSeries(2000, [1.0, float("nan")])
         with pytest.raises(DomainError):
             TimeSeries(2000, [[1.0, 2.0]])
+        with pytest.raises(DomainError, match="sum of squares overflows"):
+            TimeSeries(2000, [1e200, -1e200] * 20)
 
     def test_values_read_only(self):
         ts = TimeSeries(2000, [1.0, 2.0])
@@ -93,6 +100,44 @@ class TestConfiguration:
         x = np.arange(10)
         parts = [x[s] for s in cfg.slices(10)]
         assert [list(p) for p in parts] == [[0, 1, 2, 3], [4, 5, 6, 7, 8, 9]]
+
+
+# Mixed magnitudes, from 1e-5 to 1e4, and NaN.
+TERM_VALUES = st.one_of(
+    st.builds(lambda mantissa, exponent: mantissa * 10.0 ** exponent,
+              st.floats(-1.0, 1.0), st.integers(-5, 4)),
+    st.just(math.nan),
+)
+
+
+@st.composite
+def regime_terms(draw):
+    """A batch of boundary tuples on a series and one or two per-regime terms."""
+    n = draw(st.integers(2, 40))
+    configs = draw(st.lists(
+        st.lists(st.integers(1, n - 1), unique=True, max_size=8).map(sorted).map(tuple),
+        min_size=1, max_size=6))
+    size = sum(len(taus) + 1 for taus in configs)
+    terms = draw(st.lists(st.lists(TERM_VALUES, min_size=size, max_size=size),
+                          min_size=1, max_size=2))
+    return configs, n, [np.array(term) for term in terms]
+
+
+class TestRegimes:
+    @given(regime_terms())
+    def test_row_sums_are_running_totals(self, case):
+        # batch-independent scores rest on this: each row's sum is the same
+        # bits as a loop adding its regimes in order, each regime's terms in order
+        configs, n, terms = case
+        expected, regime = [], 0
+        for taus in configs:
+            total = 0.0
+            for _ in range(len(taus) + 1):
+                for term in terms:
+                    total += float(term[regime])
+                regime += 1
+            expected.append(total)
+        assert Regimes(configs, n).row_sums(*terms).tobytes() == np.array(expected).tobytes()
 
 
 class TestModelSpec:

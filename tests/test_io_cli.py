@@ -387,6 +387,21 @@ class TestCliFit:
                      "--model", "mean-shift"]) == 2
         assert capsys.readouterr().err.startswith("error: ")
 
+    @pytest.mark.parametrize("model, errors", [
+        ("mean-shift", "ar1"), ("trend-shift", "ar1"), ("trend-shift", "wn"),
+        ("fixed-slope", "ar1"), ("variance-shift", "wn"), ("joinpin", "wn"),
+    ])
+    def test_values_too_large_to_square_exit_2(self, tmp_path, capsys, model, errors):
+        # the fast scorers square max|x|; that must not end in an OverflowError
+        signs = np.resize([1.0, -1.0], 40) * np.linspace(1.0, 2.0, 40)
+        for scale, code in ((1e200, 2), (1e100, 0)):
+            p = tmp_path / "huge.csv"
+            p.write_text("".join(f"{1900 + i},{v!r}\n" for i, v in enumerate(
+                (scale * signs).tolist())), encoding="utf-8")
+            assert main(["fit", "--input", str(p), "--format", "csv", "--model", model,
+                         "--errors", errors, *FAST]) == code
+        assert "sum of squares overflows" in capsys.readouterr().err
+
     @pytest.mark.parametrize("flag, value", [
         ("--population", "0"), ("--population", "1"), ("--stagnation", "0"),
     ])
@@ -545,6 +560,13 @@ class TestCliSimulate:
         first = capsys.readouterr().out
         main(args)
         assert first == capsys.readouterr().out
+
+    @pytest.mark.parametrize("env, flag", [(None, ["--seed", "-1"]), ("-1", [])])
+    def test_negative_seed_exits_3(self, capsys, monkeypatch, env, flag):
+        if env is not None:
+            monkeypatch.setenv("CETSEG_SEED", env)
+        assert main(["simulate", "--n", "10", *flag]) == 3
+        assert capsys.readouterr().err.startswith("error: ")
 
     def test_bad_mu_count_exits_3(self, capsys):
         assert main(["simulate", "--n", "20", "--taus", "10", "--mu", "0"]) == 3

@@ -220,6 +220,10 @@ class TestExhaustive:
         assert report.best.config.m == 0
         assert report.best.score == pytest.approx(flat.score, abs=1e-12)
 
+    def test_negative_max_m_is_rejected(self):
+        with pytest.raises(DomainError, match="max_m must be >= 0"):
+            exhaustive_optimize(ar1_series(7, 12), ModelSpec("mean-shift", "ar1"), max_m=-1)
+
     def test_report_bookkeeping(self):
         series = ar1_series(8, 8)
         report = exhaustive_optimize(series, ModelSpec("mean-shift", "ar1"))

@@ -24,6 +24,7 @@ class TestSimSpec:
             dict(n=10, phi=1.0),
             dict(n=10, phi=-1.2),
             dict(n=10, sigma=-0.5),
+            dict(n=10, seed=-1),
         ],
     )
     def test_rejects_inconsistent_specs(self, kw):
