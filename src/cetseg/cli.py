@@ -2,6 +2,12 @@
 
 Subcommands: ``fit`` (one model), ``compare`` (the full model table),
 ``residuals`` (``fit --out csv``), ``simulate`` (synthetic data).
+``compare`` runs its four MDL rows in one forked worker process while
+this process runs the seven BIC rows (joinpin and the two long-memory
+rows among them), and prints the rows in table order.  It runs all
+eleven in-process, one group after the other, where fork is unsafe or
+missing (macOS, Windows, a process running other threads) or only one
+CPU is in its affinity.
 Exit codes: 0 success, 2 bad input data or request/data mismatch,
 3 infeasible model constraints.
 
@@ -229,7 +235,10 @@ def run_analysis(req: AnalysisRequest) -> tuple[dict[str, Any], FitResult, np.nd
                                 params, max_m=req.max_m)
             trend = stage.best
             fitted = fitted_mean(trend.config, trend.means, trend.slopes, series.n)
-            residual_series = TimeSeries(series.first_year, series.values - fitted)
+            try:
+                residual_series = TimeSeries(series.first_year, series.values - fitted)
+            except DomainError as err:  # residuals can exceed the data's own bound
+                raise DataError(f"residuals of the trend stage: {err}") from err
             fit = ga_optimize(residual_series, spec, params, max_m=req.max_m).best
     else:
         fit = ga_optimize(series, spec, params, max_m=req.max_m).best
@@ -287,25 +296,108 @@ def _cmd_fit(args: argparse.Namespace) -> int:
     return 0
 
 
+def _fork_is_safe() -> bool:
+    """Whether ``compare`` may fork a worker for its MDL rows: the platform
+    forks safely (not macOS, where fork is unsafe, nor Windows, which has
+    none), this process runs no other thread, and two CPUs are ours."""
+    import multiprocessing
+    import threading
+
+    if sys.platform == "darwin" or "fork" not in multiprocessing.get_all_start_methods():
+        return False
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    return threading.active_count() == 1 and (cpus or 1) > 1
+
+
+def _run_rows(rows: list[tuple[str, str, str]], series: TimeSeries, params: GAParams,
+              max_m: int | None, sigma2: float | None) -> tuple[list[dict[str, Any]], Exception | None]:
+    """Run compare rows in order; returns the result dicts of the rows
+    before the first that raised, and that row's error (None if none did).
+
+    The rows' searches share their seed and GA settings, so each
+    generation's draws are made once and replayed to the rest.
+    """
+    results = []
+    with shared_draws():
+        for model, errors, penalty in rows:
+            req = AnalysisRequest(
+                series=series, model=model, errors=errors, penalty=penalty,
+                ga_params=params, max_m=max_m, sigma2=sigma2,
+            )
+            try:
+                result, fit, _ = run_analysis(req)
+            except Exception as err:  # raised by the caller, in table order
+                return results, err
+            if (model, errors, penalty) == _SIGMA2_ROW and sigma2 is None:
+                sigma2 = fit.sigma2_hat
+            results.append(result)
+    return results, None
+
+
+def _worker(conn, *args) -> None:
+    """Body of the forked worker: send the parent ``_run_rows(*args)``."""
+    with conn:
+        conn.send(_run_rows(*args))
+
+
+def _compare_rows(series: TimeSeries, params: GAParams, max_m: int | None,
+                  sigma2: float | None) -> list[dict[str, Any]]:
+    """The result dicts of ``_COMPARE_ROWS``, in table order.
+
+    The MDL rows run in a forked worker while this process runs the BIC
+    rows (joinpin, whose σ² comes from a BIC row, and the long-memory
+    rows among them); where fork is not safe, both groups run here, one
+    after the other, sharing one draw memo.  If rows fail, the error of
+    the earliest in table order is raised, as a run of the rows in order
+    would raise it; a worker that dies without sending its rows raises
+    ``RuntimeError``.
+    """
+    groups = [[row for row in _COMPARE_ROWS if row[2] != "mdl"],
+              [row for row in _COMPARE_ROWS if row[2] == "mdl"]]
+    args = (series, params, max_m, sigma2)
+    if _fork_is_safe():
+        import multiprocessing
+
+        context = multiprocessing.get_context("fork")
+        receiver, sender = context.Pipe(duplex=False)
+        worker = context.Process(target=_worker, args=(sender, groups[1], *args))
+        worker.start()  # flushes sys.stdout and sys.stderr before it forks
+        sender.close()
+        try:
+            outcomes = [_run_rows(groups[0], *args)]
+            try:
+                outcomes.append(receiver.recv())
+            except EOFError:
+                worker.join()
+                raise RuntimeError(f"compare's MDL worker (pid {worker.pid}) exited with "
+                                   f"code {worker.exitcode} before sending its rows") from None
+        except BaseException:
+            worker.terminate()
+            raise
+        finally:
+            receiver.close()
+            worker.join()
+    else:
+        with shared_draws():  # one draw memo for both groups
+            outcomes = [_run_rows(group, *args) for group in groups]
+
+    done: dict[tuple[str, str, str], dict[str, Any]] = {}
+    failures = []
+    for group, (results, err) in zip(groups, outcomes):
+        done.update(zip(group, results))
+        if err is not None:
+            failures.append((_COMPARE_ROWS.index(group[len(results)]), err))
+    if failures:
+        raise min(failures, key=lambda failure: failure[0])[1]
+    return [done[row] for row in _COMPARE_ROWS]
+
+
 def _cmd_compare(args: argparse.Namespace) -> int:
     series = _load(args)
     params = _ga_params(args)
-    rows = []
-    sigma2 = args.sigma2
-    if sigma2 is not None:
-        check_variance(sigma2)
-    # The rows' searches share their seed and GA settings, so each
-    # generation's draws are made once and replayed to the rest.
-    with shared_draws():
-        for model, errors, penalty in _COMPARE_ROWS:
-            req = AnalysisRequest(
-                series=series, model=model, errors=errors, penalty=penalty,
-                ga_params=params, max_m=args.max_m, sigma2=sigma2,
-            )
-            result, fit, _ = run_analysis(req)
-            if (model, errors, penalty) == _SIGMA2_ROW and sigma2 is None:
-                sigma2 = fit.sigma2_hat
-            rows.append(result)
+    if args.sigma2 is not None:
+        check_variance(args.sigma2)
+    rows = _compare_rows(series, params, args.max_m, args.sigma2)
     report = {
         "seed": params.seed,
         "input": {"first_year": series.first_year, "last_year": series.last_year,

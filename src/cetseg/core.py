@@ -85,7 +85,7 @@ class TimeSeries:
         Calendar year of the first observation.
     values : array_like
         Observed values, one per consecutive year.  Must be finite, and
-        so must their sum of squares; missing values are rejected at
+        so must ``(N max|x|)^2``; missing values are rejected at
         ingestion, not here represented.
     """
 
@@ -98,9 +98,11 @@ class TimeSeries:
             raise DomainError("series must contain at least one observation")
         if not np.all(np.isfinite(arr)):
             raise DomainError("series values must be finite")
-        with np.errstate(over="ignore"):
-            if not math.isfinite(np.dot(arr, arr)):
-                raise DomainError("series values are too large: their sum of squares overflows")
+        # The fits' largest term is a regime sum squared, up to (N max|x|)^2.
+        bound = arr.size * float(np.max(np.abs(arr)))
+        if not math.isfinite(bound * bound):
+            raise DomainError("series values are too large: at (N max|x|)^2 a fit's "
+                              "sum of squares overflows")
         object.__setattr__(self, "values", arr)
         object.__setattr__(self, "first_year", int(self.first_year))
 

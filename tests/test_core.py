@@ -43,6 +43,14 @@ class TestTimeSeries:
         with pytest.raises(DomainError, match="sum of squares overflows"):
             TimeSeries(2000, [1e200, -1e200] * 20)
 
+    def test_bound_is_n_max_abs_squared(self):
+        # the sum of squares of these values is finite; (N max|x|)^2 is not
+        edge = math.sqrt(np.finfo(float).max) / 40
+        assert TimeSeries(2000, [0.99 * edge] * 40).n == 40
+        with pytest.raises(DomainError, match="sum of squares overflows"):
+            TimeSeries(2000, [1.01 * edge] * 40)
+        assert TimeSeries(2000, [1.01 * edge] * 39).n == 39
+
     def test_values_read_only(self):
         ts = TimeSeries(2000, [1.0, 2.0])
         with pytest.raises(ValueError):

@@ -1,5 +1,8 @@
 import json
 import math
+import multiprocessing
+import os
+import sys
 from importlib.resources import files
 
 import jsonschema
@@ -9,9 +12,12 @@ import pytest
 from cetseg import (
     ChangepointConfiguration,
     DataError,
+    DegenerateFitError,
+    InfeasibleModelError,
     ModelSpec,
     TimeSeries,
 )
+from cetseg import cli, search
 from cetseg.cli import _COMPARE_ROWS, main
 from cetseg.io import (
     decomposition_to_csv,
@@ -402,6 +408,32 @@ class TestCliFit:
                          "--errors", errors, *FAST]) == code
         assert "sum of squares overflows" in capsys.readouterr().err
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("model, errors, under", [
+        ("mean-shift", "ar1", 0), ("trend-shift", "ar1", 0), ("trend-shift", "wn", 0),
+        ("fixed-slope", "ar1", 0), ("joinpin", "wn", 0), ("long-memory", "wn", 0),
+        ("long-memory", "ar1", 0),
+        # the variance stage fits the trend stage's residuals, which reach
+        # 1.05 max|x| on this series and so cross the bound
+        ("variance-shift", "wn", 2),
+    ])
+    def test_values_at_the_overflow_bound(self, tmp_path, capsys, model, errors, under):
+        # The fits' largest term is about (N max|x|)^2: just under that bound
+        # a family fits without an overflow warning, just over it the series
+        # is rejected.  1e153 has a finite sum of squares, but not that term.
+        n = 40
+        root = math.sqrt(sys.float_info.max)
+        signs = np.resize([1.0, -1.0], n) * np.linspace(0.5, 1.0, n)
+        for scale, code in ((1.01 * root / n, 2), (0.99 * root / n, under), (1e153, 2),
+                            (1e100, 0)):
+            p = tmp_path / "huge.csv"
+            p.write_text("".join(f"{1900 + i},{v!r}\n" for i, v in enumerate(
+                (scale * signs).tolist())), encoding="utf-8")
+            assert main(["fit", "--input", str(p), "--format", "csv", "--model", model,
+                         "--errors", errors, *FAST]) == code
+            err = capsys.readouterr().err
+            assert ("sum of squares overflows" in err) == (code == 2)
+
     @pytest.mark.parametrize("flag, value", [
         ("--population", "0"), ("--population", "1"), ("--stagnation", "0"),
     ])
@@ -583,6 +615,10 @@ class TestCliSimulate:
         assert captured.err.startswith("error: --taus expects integers")
 
 
+# compare forks a worker for its MDL rows where the platform forks safely
+_CAN_FORK = sys.platform != "darwin" and "fork" in multiprocessing.get_all_start_methods()
+
+
 class TestCliCompare:
     def test_compare_json_structure_and_reproducibility(self, csv_file, capsys):
         rc = main(["compare", "--input", csv_file, "--format", "csv", *FAST,
@@ -612,3 +648,97 @@ class TestCliCompare:
         out = capsys.readouterr().out.strip().splitlines()
         assert len(out) == 1 + len(_COMPARE_ROWS) + 1  # header, rows, seed
         assert out[-1] == "seed: 6"
+
+    @pytest.fixture(params=["forked", "in-process"])
+    def mode(self, request, monkeypatch):
+        """Run compare with its MDL rows in a forked worker, or all in-process."""
+        if request.param == "forked" and not _CAN_FORK:
+            pytest.skip("fork is unavailable or unsafe here")
+        monkeypatch.setattr(cli, "_fork_is_safe", lambda: request.param == "forked")
+        return request.param
+
+    @pytest.mark.skipif(not _CAN_FORK, reason="fork is unavailable or unsafe here")
+    @pytest.mark.parametrize("seed", [1, 7])
+    def test_forked_worker_prints_the_in_process_bytes(self, tmp_path, capsys,
+                                                        monkeypatch, seed):
+        spec = SimSpec(n=362, taus=(41, 80, 329), mus=(9.0, 8.5, 9.3, 10.2),
+                       betas=(0.0, 0.0, 0.003, 0.02), phi=0.06, sigma=0.54, seed=seed,
+                       first_year=1659)
+        data = tmp_path / "series.csv"
+        data.write_text(series_to_csv(simulate_series(spec)), encoding="utf-8")
+        argv = ["compare", "--input", str(data), "--format", "csv", "--out", "json",
+                "--generations", "40", "--seed", str(seed)]
+        outputs = []
+        for fork in (True, False):
+            monkeypatch.setattr(cli, "_fork_is_safe", lambda: fork)
+            assert main(argv) == 0
+            outputs.append(capsys.readouterr().out.encode("utf-8"))
+            assert multiprocessing.active_children() == []
+        assert outputs[0] == outputs[1]
+
+    @pytest.mark.parametrize("failing, printed, code", [
+        # an MDL row alone; it runs in the worker when compare forks
+        ({6: DegenerateFitError}, 6, 2),
+        # a BIC row earlier in the table wins over a later MDL row ...
+        ({3: DegenerateFitError, 6: DegenerateFitError}, 3, 2),
+        # ... and an MDL row over a later BIC row, whatever its error type
+        ({4: InfeasibleModelError, 5: DegenerateFitError}, 4, 3),
+    ], ids=["mdl", "bic-first", "mdl-first"])
+    def test_error_of_the_earliest_failing_row_is_printed(self, csv_file, capsys,
+                                                          monkeypatch, mode, failing,
+                                                          printed, code):
+        parent = os.getpid()
+        run_analysis = cli.run_analysis
+
+        def failing_rows(req):
+            row = _COMPARE_ROWS.index((req.model, req.errors, req.penalty)) + 1
+            forked = os.getpid() != parent
+            if forked != (mode == "forked" and req.penalty == "mdl"):
+                raise AssertionError(f"row {row} ran in the wrong process")
+            if row in failing:
+                raise failing[row](f"row {row} failed")
+            return run_analysis(req)
+
+        monkeypatch.setattr(cli, "run_analysis", failing_rows)
+        assert main(["compare", "--input", csv_file, "--format", "csv", *FAST]) == code
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: row {printed} failed\n"
+        assert multiprocessing.active_children() == []
+
+    def test_in_process_groups_draw_each_generation_once(self, csv_file, capsys,
+                                                         monkeypatch):
+        # both groups replay one draw memo, as the nine searches did in one loop
+        monkeypatch.setattr(cli, "_fork_is_safe", lambda: False)
+        drawn = []
+        draw = search._draw
+
+        def counted(params, n, child_count, gen):
+            drawn.append((n, child_count, gen))
+            return draw(params, n, child_count, gen)
+
+        monkeypatch.setattr(search, "_draw", counted)
+        assert main(["compare", "--input", csv_file, "--format", "csv", *FAST]) == 0
+        assert drawn and len(drawn) == len(set(drawn))
+
+    @pytest.mark.skipif(not _CAN_FORK, reason="fork is unavailable or unsafe here")
+    def test_unflushed_stdout_is_written_once(self, csv_file, tmp_path, monkeypatch):
+        # text left in a block-buffered stdout when the worker forks must
+        # not be written again when the worker exits
+        monkeypatch.setattr(cli, "_fork_is_safe", lambda: True)
+        out = tmp_path / "out.txt"
+        with open(out, "w", encoding="utf-8") as stream, monkeypatch.context() as patch:
+            patch.setattr(sys, "stdout", stream)
+            stream.write("pending\n")
+            assert main(["compare", "--input", csv_file, "--format", "csv", *FAST,
+                         "--out", "json"]) == 0
+        text = out.read_text(encoding="utf-8")
+        assert text.startswith("pending\n{") and text.count("pending") == 1
+
+    @pytest.mark.skipif(not _CAN_FORK, reason="fork is unavailable or unsafe here")
+    def test_a_worker_that_dies_is_reported(self, csv_file, monkeypatch):
+        monkeypatch.setattr(cli, "_fork_is_safe", lambda: True)
+        monkeypatch.setattr(cli, "_worker", lambda conn, *args: os._exit(5))
+        with pytest.raises(RuntimeError, match="exited with code 5 before sending its rows"):
+            main(["compare", "--input", csv_file, "--format", "csv", *FAST])
+        assert multiprocessing.active_children() == []

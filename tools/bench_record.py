@@ -6,15 +6,16 @@ Usage (from the repository root):
 
 Each tree is a checkout of this repository.  For every benchmark workload
 (from ``BENCHMARK.json``) and seeds 1 and 7, the trees' own
-``perfbench/run.py`` runs three times with ``--seconds 30 --trace 0``,
+``perfbench/run.py`` runs ten times with ``--seconds 30 --trace 0``,
 alternating between the trees run by run and reversing their order every
 other round, so that drift in the host's speed reaches all trees alike.
 The result is written afresh to ``BENCH_<pr>.json`` at the repository
 root: per tree, its ``git rev-parse HEAD``, whether its working tree
 differed from that commit, a SHA-256 of the ``src/`` files it ran, the
 environment line of its first run and, per workload and seed, the median
-over runs of each end-to-end metric, the per-run values and the number of
-failed operations.
+over runs of each end-to-end metric, the per-run values, each run's CPU
+affinity and load average before it (a two-process run is only fast when
+the second CPU is free), and the number of failed operations.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 SEEDS = (1, 7)  # perfbench's default seed and its held-out seed
 SECONDS = 30
-RUNS = 3  # per tree, workload and seed
+RUNS = 10  # per tree, workload and seed: ten alternating pairs
 
 
 def _git(tree: Path, *args: str) -> str:
@@ -92,17 +93,20 @@ def main(argv: list[str] | None = None) -> int:
                 for label, tree in list(trees.items())[::1 if i % 2 == 0 else -1]:
                     env, result = _run(tree, workload, seed)
                     records[label]["environment"] = records[label]["environment"] or env
-                    runs[label].append(result)
+                    runs[label].append((env, result))
                     print(f"{label} {workload} seed {seed} run {i + 1}: "
                           f"{json.dumps({k: v['value'] for k, v in result['metrics'].items()})}",
                           file=sys.stderr)
-            for label, results in runs.items():
+            for label, pairs in runs.items():
+                results = [r for _, r in pairs]
                 values = {name: [r["metrics"][name]["value"] for r in results]
                           for name in metric_names}
                 records[label]["results"].setdefault(workload, {})[str(seed)] = {
                     "median": {name: statistics.median(v) if None not in v else None
                                for name, v in values.items()},
                     "values": values,
+                    "affinity": [env["affinity"] for env, _ in pairs],
+                    "loadavg_before": [env["loadavg_before"] for env, _ in pairs],
                     "failed": sum(r["failed"] for r in results),
                     "attempted": sum(r["attempted"] for r in results),
                 }
