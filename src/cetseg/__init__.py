@@ -2,7 +2,8 @@
 
 Detects shifts in mean, trend, or variance by minimizing a penalized
 Gaussian likelihood (BIC or MDL penalties) over changepoint
-configurations with a genetic-algorithm search, and fits two
+configurations, exactly for trend shifts with white-noise errors and
+with a genetic-algorithm search otherwise, and fits two
 non-changepoint alternatives (a continuous joinpoint model and a
 long-memory model) for side-by-side comparison.
 """
@@ -27,9 +28,11 @@ from .search import (
     GAParams,
     SearchReport,
     evaluate,
+    exact_optimize,
     exhaustive_optimize,
     ga_optimize,
     min_segment_length,
+    solve,
 )
 from .simulate import SimSpec, simulate_series
 
@@ -51,9 +54,11 @@ __all__ = [
     "GAParams",
     "SearchReport",
     "evaluate",
+    "exact_optimize",
     "exhaustive_optimize",
     "ga_optimize",
     "min_segment_length",
+    "solve",
     "JoinpinFit",
     "fit_joinpin",
     "joinpin_search",

@@ -49,7 +49,7 @@ from .io import (
 from .joinpin import check_variance, joinpin_search
 from .longmemory import fit_arfima
 from .plotting import emit_plot
-from .search import GAParams, ga_optimize, shared_draws
+from .search import GAParams, shared_draws, solve
 from .simulate import SimSpec, simulate_series
 
 __all__ = ["main", "build_parser", "AnalysisRequest", "run_analysis"]
@@ -104,15 +104,20 @@ def _add_input_args(p: argparse.ArgumentParser) -> None:
                    metavar="YEAR", help="last year to analyze")
 
 
+# The GA flags' note: trend-shift+wn searches, the first stage of
+# variance-shift and joinpin among them, are exact and take no GA settings.
+_EXACT_NOTE = "; trend-shift+wn is solved exactly and ignores it"
+
+
 def _add_search_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--seed", type=int, default=None,
                    help="search seed (default: $CETSEG_SEED or 0)")
     p.add_argument("--population", type=int, default=None, metavar="P",
-                   help="GA population size")
+                   help="GA population size" + _EXACT_NOTE)
     p.add_argument("--generations", type=int, default=None, metavar="G",
-                   help="GA generation cap")
+                   help="GA generation cap" + _EXACT_NOTE)
     p.add_argument("--stagnation", type=int, default=None, metavar="S",
-                   help="stop after S generations without improvement")
+                   help="stop the GA after S generations without improvement" + _EXACT_NOTE)
     p.add_argument("--max-m", type=int, default=None, metavar="M",
                    help="cap on the number of changepoints")
 
@@ -207,10 +212,13 @@ def run_analysis(req: AnalysisRequest) -> tuple[dict[str, Any], FitResult, np.nd
     """Fit one model per the request; returns the JSON-shaped result, the fit
     and its fitted values.
 
-    The variance-shift workflow is two-stage: a trend-shift+wn search
-    fixes the mean structure, and the variance search runs on its
-    residuals.  The fitted values reported for it are the trend
-    stage's, since the variance model has no mean function.
+    Every changepoint search goes through :func:`cetseg.search.solve`:
+    exact for trend-shift+wn, the GA with the request's settings for
+    the other families.  The variance-shift workflow is two-stage: a
+    trend-shift+wn search fixes the mean structure, and the variance
+    search runs on its residuals.  The fitted values reported for it
+    are the trend stage's, since the variance model has no mean
+    function.
     """
     series = req.series
     params = req.ga_params
@@ -224,24 +232,21 @@ def run_analysis(req: AnalysisRequest) -> tuple[dict[str, Any], FitResult, np.nd
         fit = fit_arfima(series, p=1 if req.errors == "ar1" else 0)
     elif model == "joinpin":
         sigma2 = req.sigma2
-        with shared_draws():
-            if sigma2 is None:
-                stage = ga_optimize(series, ModelSpec(*_SIGMA2_ROW), params, max_m=req.max_m)
-                sigma2 = stage.best.sigma2_hat
-            fit = joinpin_search(series, sigma2, max_m=req.max_m, params=params).best
+        if sigma2 is None:
+            stage = solve(series, ModelSpec(*_SIGMA2_ROW), params, max_m=req.max_m)
+            sigma2 = stage.best.sigma2_hat
+        fit = joinpin_search(series, sigma2, max_m=req.max_m, params=params).best
     elif model == "variance-shift":
-        with shared_draws():
-            stage = ga_optimize(series, ModelSpec("trend-shift", "wn", req.penalty),
-                                params, max_m=req.max_m)
-            trend = stage.best
-            fitted = fitted_mean(trend.config, trend.means, trend.slopes, series.n)
-            try:
-                residual_series = TimeSeries(series.first_year, series.values - fitted)
-            except DomainError as err:  # residuals can exceed the data's own bound
-                raise DataError(f"residuals of the trend stage: {err}") from err
-            fit = ga_optimize(residual_series, spec, params, max_m=req.max_m).best
+        trend = solve(series, ModelSpec("trend-shift", "wn", req.penalty), params,
+                      max_m=req.max_m).best
+        fitted = fitted_mean(trend.config, trend.means, trend.slopes, series.n)
+        try:
+            residual_series = TimeSeries(series.first_year, series.values - fitted)
+        except DomainError as err:  # residuals can exceed the data's own bound
+            raise DataError(f"residuals of the trend stage: {err}") from err
+        fit = solve(residual_series, spec, params, max_m=req.max_m).best
     else:
-        fit = ga_optimize(series, spec, params, max_m=req.max_m).best
+        fit = solve(series, spec, params, max_m=req.max_m).best
 
     ga_params = None if model == "long-memory" else params
     result = result_to_dict(fit, series, params.seed, ga_params)

@@ -75,11 +75,17 @@ def frac_diff(values, d: float, truncation_lag: int) -> np.ndarray:
         raise DomainError("truncation_lag must be >= 1")
     n = x.size
     nlags = min(truncation_lag, n - 1) if n > 1 else 0
-    pi = np.empty(nlags + 1)
+    return np.convolve(x, _weights(d, nlags))[:n]
+
+
+def _weights(d, nlags: int) -> np.ndarray:
+    """The filter weights ``pi_0..pi_nlags`` of each memory parameter in
+    ``d`` (a float or an array), one row per lag."""
+    pi = np.empty((nlags + 1, *np.shape(d)))
     pi[0] = 1.0
     for j in range(1, nlags + 1):
         pi[j] = pi[j - 1] * (j - 1 - d) / j
-    return np.convolve(x, pi)[:n]
+    return pi
 
 
 def _css(w: np.ndarray, p: int) -> tuple[float, float | None]:
@@ -124,14 +130,18 @@ def fit_arfima(series: TimeSeries, p: int) -> ArfimaFit:
 
     probes: list[tuple[float, float]] = []
 
-    def css_at(d: float) -> float:
-        w = frac_diff(x, d, n)
+    def probe(d: float, w: np.ndarray) -> float:
+        """The CSS of ``w``, the series filtered at ``d``, kept as a probe."""
         value, _ = _css(w, p)
         probes.append((float(d), value))
         return value
 
+    def css_at(d: float) -> float:
+        return probe(d, frac_diff(x, d, n))
+
+    # The grid's filter weights in one pass: per weight, the same operations.
     grid = np.linspace(_D_LO, _D_HI, _COARSE_POINTS)
-    values = [css_at(d) for d in grid]
+    values = [probe(d, np.convolve(x, pi)[:n]) for d, pi in zip(grid, _weights(grid, n - 1).T)]
     i = int(np.argmin(values))
     a = grid[max(0, i - 1)]
     b = grid[min(_COARSE_POINTS - 1, i + 1)]

@@ -1,15 +1,19 @@
-"""Changepoint search: exact enumeration for tiny series, GA otherwise.
+"""Changepoint search: an exact DP for trend-shift+wn, exhaustive
+enumeration for tiny series, and a GA for the other families.
 
-Searches score configurations in batches with an O(m) fast score, for
-the families here the one :mod:`cetseg.fastscore` builds per search from
-prefix sums: the GA one batch per generation (the configurations it has
-not scored yet), exhaustive enumeration fixed-size chunks.  One rule,
-shared with joinpin through :func:`ga_search`, trusts those scores: a
-configuration the fast score leaves undecided (NaN) is scored by the
-reference fit, here :func:`evaluate`, and the winner's reference refit
-is the reported result, which must match its search score within
-``REFIT_RTOL``.  A configuration's score does not depend on the batch it
-is scored in.  The cache holds one sort key per configuration, not a fit.
+:func:`solve` is the search a command runs: :func:`exact_optimize` for
+trend-shift+wn and :func:`ga_optimize` otherwise.  Searches score
+configurations in batches with an O(m) fast score, for the families
+here the one :mod:`cetseg.fastscore` builds per search from prefix sums:
+the GA one batch per generation (the configurations it has not scored
+yet), exhaustive enumeration fixed-size chunks, the DP the winners of
+each pass.  One rule, shared with joinpin through :func:`ga_search`,
+trusts those scores: a configuration the fast score leaves undecided
+(NaN) is scored by the reference fit, here :func:`evaluate`, and the
+winner's reference refit is the reported result, which must match its
+search score within ``REFIT_RTOL``.  A configuration's score does not
+depend on the batch it is scored in.  The cache holds one sort key per
+configuration, not a fit.
 
 The genetic algorithm is deterministic for a given seed.  Each
 generation draws from one stream keyed by ``(seed, generation)``, as
@@ -32,6 +36,7 @@ changepoints, then lexicographically smaller boundary indices.
 from __future__ import annotations
 
 import math
+import sys
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass
@@ -40,6 +45,7 @@ from itertools import chain, islice
 from typing import Callable, Iterator, Sequence
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from . import estimation
 from .core import (
@@ -52,9 +58,11 @@ from .core import (
     InfeasibleModelError,
     MeanStructure,
     ModelSpec,
+    Penalty,
     TimeSeries,
 )
-from .fastscore import score_function
+from .estimation import LOG_2PI
+from .fastscore import _centred_sums, score_function
 from .penalties import penalty_value
 
 __all__ = [
@@ -64,10 +72,13 @@ __all__ = [
     "SearchReport",
     "GARun",
     "RefitMismatchError",
+    "UncertifiedError",
     "exhaustive_optimize",
+    "exact_optimize",
     "ga_minimize",
     "ga_optimize",
     "ga_search",
+    "solve",
     "shared_draws",
     "EXHAUSTIVE_MAX_N",
     "REFIT_RTOL",
@@ -299,6 +310,299 @@ def exhaustive_optimize(
         score_history=(best.score,),
         generations_run=0,
         evaluations_count=evaluations,
+        seed=None,
+    )
+
+
+def _by_length(per_difference: np.ndarray) -> np.ndarray:
+    """The read-only ``(n+1, n+1)`` view whose entry ``[e, s]`` is the
+    value of ``per_difference``, given over ``-n..n``, at ``e - s``."""
+    n = per_difference.size // 2
+    return sliding_window_view(per_difference, n + 1)[:, ::-1]
+
+
+def _segment_rss(values: np.ndarray, min_len: int) -> tuple[np.ndarray, float]:
+    """The table ``R[e, s]`` of the residual sums of squares of the line
+    fitted to indices ``s+1..e`` (+inf where ``e - s < min_len``), each the
+    term the trend-shift scorer adds for that regime, and the scorers'
+    trust floor."""
+    n = values.size
+    _, _, (X, XX, T, TX), floor = _centred_sums(values)
+    d = np.arange(-n, n + 1.0)
+    k = _by_length(d)
+    # Three tables at a time, combined in the order the scorer adds its terms.
+    sx = X[:, None] - X
+    stx = TX[:, None] - TX
+    with np.errstate(divide="ignore", invalid="ignore"):
+        term = T[:, None] - T
+        term *= sx
+        term /= k
+        stx -= term  # centred t x
+        np.divide(stx, _by_length(d * (d * d - 1) / 12.0), out=term)  # the slope
+        stx *= term
+        sx *= sx
+        sx /= k
+        np.subtract(XX[:, None], XX, out=term)
+        term -= sx
+        term -= stx
+    term[k < min_len] = _INF
+    return term, floor
+
+
+def _least_penalized(rss: np.ndarray, min_len: int, betas: np.ndarray) -> np.ndarray:
+    """For each ``beta``, the least ``RSS + beta m`` over all configurations
+    (optimal partitioning, Jackson et al. 2005)."""
+    n = rss.shape[0] - 1
+    best = np.full((betas.size, n + 1), _INF)
+    best[:, 0] = -betas  # the first regime closes no changepoint
+    for e in range(min_len, n + 1):
+        best[:, e] = np.min(best[:, :e - min_len + 1] + rss[e, :e - min_len + 1], axis=1)
+        best[:, e] += betas
+    return best[:, n]
+
+
+class _Partitions:
+    """Segment-neighbourhood DP (Auger and Lawrence 1989) over ``R + mu A``,
+    where ``A = r sum_k log len_k + 2 sum_{i>=2} log tau_i`` is the part of
+    MDL that is additive over regimes."""
+
+    def __init__(self, rss: np.ndarray, r: int, min_len: int):
+        self.rss, self.r, self.min_len = rss, r, min_len
+        n = rss.shape[0] - 1
+        self.log = np.log(np.maximum(np.arange(n + 1), 1))
+        self.len_term = _by_length(r * np.log(np.maximum(np.arange(-n, n + 1.0), 1.0)))
+        self.block = np.empty_like(rss)
+        self.cost = None  # made at the first mu > 0
+
+    def _cost(self, mu: float) -> np.ndarray:
+        """The table ``R + mu r log len``, in one buffer for every ``mu > 0``."""
+        if mu == 0.0:
+            return self.rss
+        if self.cost is None:
+            self.cost = np.empty_like(self.rss)
+        np.multiply(self.len_term, mu, out=self.cost)
+        self.cost += self.rss
+        return self.cost
+
+    def layers(self, mu: float, depth: int) -> Iterator[tuple[np.ndarray, np.ndarray | None]]:
+        """The DP's layers at ``mu`` for ``j = 0..depth`` changepoints, in
+        order: each ``(least, back)``, where ``least[e]`` is the least total
+        over configurations of ``1..e`` with ``j`` changepoints and
+        ``back[e]`` the last boundary of one attaining it."""
+        rss, min_len = self.rss, self.min_len
+        n = rss.shape[0] - 1
+        cost = self._cost(mu)
+        start = 2.0 * mu * self.log
+        least = cost[:, 0].copy()
+        yield least, None
+        for j in range(1, depth + 1):
+            # Ends from lo, last boundaries s in [first, n - min_len].
+            first = min_len * j
+            lo = first + min_len
+            prev = least[first:n - min_len + 1]
+            if j >= 2:
+                prev = prev + start[first:n - min_len + 1]
+            block = np.add(prev, cost[lo:, first:n - min_len + 1],
+                           out=self.block[:n + 1 - lo, :prev.size])
+            arg = block.argmin(axis=1)
+            least = np.full(n + 1, _INF)
+            least[lo:] = block[np.arange(arg.size), arg]
+            back = np.zeros(n + 1, np.intp)
+            back[lo:] = arg + first
+            yield least, back
+
+    def taus(self, layers: list, m: int) -> tuple[int, ...]:
+        """The configuration of ``1..N`` with ``m`` changepoints that
+        ``layers`` hold."""
+        e = self.rss.shape[0] - 1
+        taus = []
+        for _, back in reversed(layers[1:m + 1]):
+            e = int(back[e])
+            taus.append(e)
+        return tuple(reversed(taus))
+
+    def totals(self, taus: tuple[int, ...]) -> tuple[float, float]:
+        """``(R, A)`` of one configuration."""
+        bounds = (0, *taus, self.rss.shape[0] - 1)
+        segments = list(zip(bounds[1:], bounds))
+        rss = math.fsum(self.rss[e, s] for e, s in segments)
+        additive = self.r * math.fsum(self.log[e - s] for e, s in segments)
+        return rss, additive + 2.0 * math.fsum(self.log[tau] for tau in taus[1:])
+
+
+class UncertifiedError(CetsegError):
+    """Raised by :func:`exact_optimize` when it cannot certify an optimum:
+    a configuration's residual sum of squares is at or below the fast
+    scorers' trust floor (e.g. constant or exactly linear data), or the
+    DP's rounding exceeds the certificate's margin."""
+
+
+# The model exact_optimize solves, as (mean structure, errors).
+_EXACT = (MeanStructure.TREND_SHIFT, ErrorModel.WHITE_NOISE)
+
+# Relative margin within which a lower bound counts as reaching the best
+# score found.  At residual sums of squares above the trust floor, the
+# DP's rounding is about 1e-10 of a score or less.
+_EXACT_MARGIN = 1e-9
+
+
+def exact_optimize(
+    series: TimeSeries, model: ModelSpec, max_m: int | None = None
+) -> SearchReport:
+    """Exact minimum of the trend-shift+wn score over configurations with
+    at most ``max_m`` changepoints.
+
+    Both penalties score ``N log RSS`` plus a penalty, and the RSS is a
+    sum of per-regime least squares, so segment-neighbourhood DP over the
+    per-regime RSS gives the least RSS for each changepoint count ``m``.
+    Under BIC the penalty depends on ``m`` only, so that is the answer
+    for ``m``.  Counts stop where a lower bound on the scores of all
+    larger counts reaches the best score found: a bound on the least RSS
+    at each count, from optimal partitioning with a grid of penalties per
+    changepoint (the Lagrangian dual), plus a floor on the penalty.
+    Under MDL the penalty adds ``A``, a sum over regimes
+    (:class:`_Partitions`).  For each ``m`` the RSS that can still beat
+    the best score lies in an interval, from the least RSS at ``m`` to
+    the largest the best score allows.  On it the chord of ``N log RSS``
+    bounds the score below by ``c + N slope (R + A / (N slope))``, which
+    one DP over ``R + mu A`` minimizes for every ``m`` at once; a DP at
+    a smaller ``mu`` bounds ``A`` by its least value at ``m``.  Each
+    round runs one DP, at the least ``mu`` any interval asks for.  An
+    interval whose bound is within a relative ``1e-9`` of the best score
+    is dropped; that round's winner splits the interval that set ``mu``
+    in two, as CROPS does (Haynes, Eckley and Fearnhead 2017).  Every DP
+    winner is rescored by the batch scorer; ties go to fewer
+    changepoints, then smaller boundaries, and the winner's reference
+    refit is ``best``.
+
+    Raises
+    ------
+    DomainError
+        For a model other than trend-shift+wn, or if ``max_m < 0``.
+    InfeasibleModelError
+        If ``N < 2 * min_segment_length(model)``, as :func:`ga_optimize`.
+    UncertifiedError
+        If the least RSS over all configurations is at or below the fast
+        scorers' trust floor; :func:`ga_optimize` searches such series.
+    RefitMismatchError
+        If the winner's reference refit disagrees with its search score.
+    """
+    if (model.mean_structure, model.error_model) != _EXACT:
+        raise DomainError(f"no exact search for {model.label()}")
+    n = series.n
+    min_len = min_segment_length(model)
+    if n < 2 * min_len:
+        raise InfeasibleModelError(
+            f"series of length {n} is too short to search (need >= {2 * min_len})"
+        )
+    top = n // min_len - 1
+    top = top if max_m is None else min(max_m, top)
+    if top < 0:
+        raise DomainError("max_m must be >= 0")
+    rss, floor = _segment_rss(series.values, min_len)
+    # At every m, RSS >= least(RSS + beta m') - beta m for each beta of a
+    # grid (beta = 0 gives the least RSS of all).
+    betas = rss[n, 0] * np.concatenate(([0.0], 0.5 ** np.arange(1, 17)))
+    penalized = _least_penalized(rss, min_len, betas)
+    if not penalized[0] > floor:
+        raise UncertifiedError(f"{model.label()}: a configuration fits to within the "
+                               "fast scorers' trust floor")
+
+    reference = _reference(series, model)
+    fitness = _fallback(score_function(series, model), reference)
+    scored: dict[tuple[int, ...], float] = {}
+
+    def consider(configs) -> float:
+        """Score the configurations not scored yet; the best score so far."""
+        fresh = list(dict.fromkeys(taus for taus in configs if taus not in scored))
+        if fresh:
+            scored.update(zip(fresh, fitness(fresh)))
+        return min(scored.values())
+
+    family = model.family
+    r, g = family.regime_params, family.global_params
+    log_n = math.log(n)
+    base = n * (1.0 + LOG_2PI - log_n)  # the score is base + N log RSS + penalty
+    m = np.arange(top + 1)
+    mdl = model.penalty is Penalty.MDL
+    if mdl:
+        # The least A at m: m regimes of min_len and one of the rest, with
+        # tau_i = min_len i; MDL charges nothing at m = 0.
+        log_m = np.log(np.maximum(m, 1))
+        extra = g * log_n + 2.0 * log_m  # the part of MDL not in A
+        least_a = r * (m * math.log(min_len) + np.log(n - min_len * m))
+        least_a += 2.0 * np.cumsum(np.where(m >= 2, math.log(min_len) + log_m, 0.0))
+        extra[0] = least_a[0] = 0.0
+    else:
+        extra = ((r + 1) * m + r + g) * log_n
+        least_a = np.zeros(top + 1)
+    # A lower bound on every score at m or more changepoints, rising in m.
+    rising = base + n * np.log(np.max(penalized[:, None] - np.outer(betas, m), axis=0))
+    rising += extra + least_a
+    rising = np.minimum.accumulate(rising[::-1])[::-1]
+
+    def margin(score: float) -> float:
+        return _EXACT_MARGIN * max(abs(score), n)
+
+    # The least RSS at each m (mu = 0), up to where the rising bound
+    # reaches the best of their scores.
+    partitions = _Partitions(rss, r, min_len)
+    layers = []
+    winners = []
+    incumbent = _INF
+    for j, layer in enumerate(partitions.layers(0.0, top)):
+        layers.append(layer)
+        winners.append(partitions.taus(layers, j))
+        incumbent = min(incumbent, base + n * math.log(layer[0][n]) + extra[j]
+                        + (partitions.totals(winners[j])[1] if mdl and j else 0.0))
+        if j == top or rising[j + 1] >= incumbent - margin(incumbent):
+            break
+    incumbent = consider(winners)
+
+    # MDL: (m, low, high) intervals of RSS that may still beat the best.
+    intervals = [(j, float(layers[j][0][n]), _INF) for j in range(1, len(layers))] if mdl else []
+    while intervals:
+        chords = []
+        for j, a, b in intervals:
+            log_b = (incumbent - base - extra[j] - least_a[j]) / n
+            b = min(b, math.exp(log_b) if log_b < 709.0 else sys.float_info.max)
+            if b >= a:
+                slope = math.log1p((b - a) / a) / (b - a) if b > a else 1.0 / a
+                chords.append((1.0 / (n * slope), j, a, b))
+        if not chords:
+            break
+        chords.sort()
+        mu = chords[0][0]
+        layers = list(partitions.layers(mu, max(j for _, j, _, _ in chords)))
+        found = {j: partitions.taus(layers, j) for _, j, _, _ in chords}
+        fresh = {j for j, taus in found.items() if taus not in scored}
+        incumbent = consider(found.values())
+        intervals = []
+        for i, (mu_j, j, a, b) in enumerate(chords):
+            # R + mu_j A >= (R + mu A) + (mu_j - mu) min A, for mu <= mu_j.
+            value = float(layers[j][0][n]) + (mu_j - mu) * least_a[j]
+            if base + n * math.log(a) + extra[j] + (value - a) / mu_j \
+                    >= incumbent - margin(incumbent):
+                continue
+            if i:
+                intervals.append((j, a, b))
+                continue
+            split = partitions.totals(found[j])[0]
+            if a < split < b:
+                intervals += [(j, a, split), (j, split, b)]
+            elif j in fresh:
+                intervals.append((j, a, b))
+            else:
+                raise UncertifiedError(f"{model.label()}: rounding exceeds the "
+                                       "certificate's margin")
+
+    taus = min((score, len(taus), taus) for taus, score in scored.items())[2]
+    best = _refit(reference, taus, scored[taus])
+    return SearchReport(
+        best=best,
+        score_history=(best.score,),
+        generations_run=0,
+        evaluations_count=len(scored),
         seed=None,
     )
 
@@ -608,3 +912,22 @@ def ga_optimize(
         min_segment_length(model), params,
         max_m=max_m, initial=[config.taus for config in initial],
     )
+
+
+def solve(
+    series: TimeSeries,
+    model: ModelSpec,
+    params: GAParams = GAParams(),
+    *,
+    max_m: int | None = None,
+) -> SearchReport:
+    """The changepoint search for ``model``: :func:`exact_optimize` for
+    trend-shift+wn, unless it raises :class:`UncertifiedError`, and
+    :func:`ga_optimize` with ``params`` otherwise.  Both are looked up in
+    this module when called."""
+    if (model.mean_structure, model.error_model) == _EXACT:
+        try:
+            return exact_optimize(series, model, max_m)
+        except UncertifiedError:
+            pass
+    return ga_optimize(series, model, params, max_m=max_m)

@@ -106,6 +106,16 @@ class TestFitArfima:
             else:
                 assert fit.phi_hat is None
 
+    def test_grid_probes_equal_the_one_at_a_time_filter(self):
+        # the coarse grid filters with weights computed for all 41 points at
+        # once; each probe must be bit for bit the one frac_diff gives
+        series = _lm_data(102, 120, 0.2)
+        x = series.values - series.values.mean()
+        grid = np.linspace(1e-6, 0.5 - 1e-6, 41)
+        for p in (0, 1):
+            probes = list(fit_arfima(series, p=p).probes[:41])
+            assert probes == [(float(d), _css(frac_diff(x, d, 120), p)[0]) for d in grid]
+
     def test_parameter_ranges(self):
         for p in (0, 1):
             fit = fit_arfima(_lm_data(102, 120, 0.2), p=p)
