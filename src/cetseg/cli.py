@@ -5,9 +5,9 @@ Subcommands: ``fit`` (one model), ``compare`` (the full model table),
 ``compare`` runs its four MDL rows in one forked worker process while
 this process runs the seven BIC rows (joinpin and the two long-memory
 rows among them), and prints the rows in table order.  It runs all
-eleven in-process, one group after the other, where fork is unsafe or
-missing (macOS, Windows, a process running other threads) or only one
-CPU is in its affinity.
+eleven in-process, in table order, where fork is unsafe or missing
+(macOS, Windows, a process running other threads) or only one CPU is in
+its affinity.
 Exit codes: 0 success, 2 bad input data or request/data mismatch,
 3 infeasible model constraints.
 
@@ -351,18 +351,17 @@ def _compare_rows(series: TimeSeries, params: GAParams, max_m: int | None,
 
     The MDL rows run in a forked worker while this process runs the BIC
     rows (joinpin, whose σ² comes from a BIC row, and the long-memory
-    rows among them); where fork is not safe, both groups run here, one
-    after the other, sharing one draw memo.  If rows fail, the error of
-    the earliest in table order is raised, as a run of the rows in order
-    would raise it; a worker that dies without sending its rows raises
-    ``RuntimeError``.
+    rows among them); where fork is not safe, all rows run here in table
+    order.  If rows fail, the error of the earliest in table order is
+    raised, as a run of the rows in order would raise it; a worker that
+    dies without sending its rows raises ``RuntimeError``.
     """
-    groups = [[row for row in _COMPARE_ROWS if row[2] != "mdl"],
-              [row for row in _COMPARE_ROWS if row[2] == "mdl"]]
     args = (series, params, max_m, sigma2)
     if _fork_is_safe():
         import multiprocessing
 
+        groups = [[row for row in _COMPARE_ROWS if row[2] != "mdl"],
+                  [row for row in _COMPARE_ROWS if row[2] == "mdl"]]
         context = multiprocessing.get_context("fork")
         receiver, sender = context.Pipe(duplex=False)
         worker = context.Process(target=_worker, args=(sender, groups[1], *args))
@@ -383,8 +382,8 @@ def _compare_rows(series: TimeSeries, params: GAParams, max_m: int | None,
             receiver.close()
             worker.join()
     else:
-        with shared_draws():  # one draw memo for both groups
-            outcomes = [_run_rows(group, *args) for group in groups]
+        groups = [_COMPARE_ROWS]
+        outcomes = [_run_rows(_COMPARE_ROWS, *args)]
 
     done: dict[tuple[str, str, str], dict[str, Any]] = {}
     failures = []

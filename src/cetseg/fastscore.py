@@ -7,7 +7,10 @@ by one subtraction, and a configuration with ``m`` changepoints is
 scored in O(m) float operations, without fitted values or residual
 arrays.  These are the sufficient statistics that segment-neighbourhood
 search (Auger and Lawrence 1989) and PELT (Killick et al. 2012) build
-on.
+on.  This module owns the per-regime formulas below; the exact search
+reads the trend-shift one as a table of every regime's RSS
+(:func:`trend_rss_table`), and the penalties come from
+:mod:`cetseg.penalties`.
 
 The sums are taken of ``x`` centred on the series mean and of ``t``
 centred on ``(N + 1) / 2``; the time sums are then exact.  Per regime:
@@ -57,12 +60,13 @@ import math
 from typing import Callable, Sequence
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .core import ErrorModel, MeanStructure, ModelSpec, Regimes, TimeSeries
 from .estimation import LOG_2PI
 from .penalties import penalty_function
 
-__all__ = ["score_function", "joinpin_rss"]
+__all__ = ["score_function", "trend_rss_table", "by_length", "joinpin_rss"]
 
 # A batch of boundary tuples -> one value each, NaN where the reference
 # fit must decide.
@@ -157,6 +161,7 @@ def _mean_scorer(values: np.ndarray, model: ModelSpec, penalty) -> Scorer:
         return regimes.row_sums(sxx - sx * p), p, 0.0
 
     def trend_lines(regimes: Regimes, sx, sxx, st, stx):
+        # trend_rss_table tabulates these regime terms in the same order.
         k = regimes.lengths
         stx = stx - st * sx / k
         q = stx / STT[k]
@@ -209,6 +214,42 @@ def _mean_scorer(values: np.ndarray, model: ModelSpec, penalty) -> Scorer:
         return n * (_log(n_sigma2 / n, kept) + 1.0 + LOG_2PI) + penalty(regimes)
 
     return score
+
+
+def by_length(per_difference: np.ndarray) -> np.ndarray:
+    """The read-only ``(n+1, n+1)`` view whose entry ``[e, s]`` is the
+    value of ``per_difference``, given over ``-n..n``, at ``e - s``."""
+    n = per_difference.size // 2
+    return sliding_window_view(per_difference, n + 1)[:, ::-1]
+
+
+def trend_rss_table(values: np.ndarray, min_len: int) -> tuple[np.ndarray, float]:
+    """The table ``R[e, s]`` of the residual sums of squares of the line
+    fitted to indices ``s+1..e`` (+inf where ``e - s < min_len``), and the
+    scorers' trust floor.  Each entry is the term ``trend_lines`` adds for
+    that regime, by the same operations in the same order, so entries
+    summed in regime order give the trend-shift scorer's RSS bit for bit."""
+    n = values.size
+    _, _, (X, XX, T, TX), floor = _centred_sums(values)
+    d = np.arange(-n, n + 1.0)
+    k = by_length(d)
+    # Three tables at a time, combined in the order trend_lines adds its terms.
+    sx = X[:, None] - X
+    stx = TX[:, None] - TX
+    with np.errstate(divide="ignore", invalid="ignore"):
+        term = T[:, None] - T
+        term *= sx
+        term /= k
+        stx -= term  # centred t x
+        np.divide(stx, by_length(d * (d * d - 1) / 12.0), out=term)  # the slope
+        stx *= term
+        sx *= sx
+        sx /= k
+        np.subtract(XX[:, None], XX, out=term)
+        term -= sx
+        term -= stx
+    term[k < min_len] = math.inf
+    return term, floor
 
 
 def joinpin_rss(values: np.ndarray) -> Scorer:

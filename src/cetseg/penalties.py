@@ -15,6 +15,10 @@ for each regime's parameters (halved units folded into the
 coefficients), ``2 log m`` for the count, ``2 log tau_i`` for each
 boundary after the first, and ``(g + a) log N`` for the global
 parameters.  The empty configuration has MDL 0 by convention.
+
+This module is the only place these rules are written: the fast
+scorers, the reference fits and the exact search all read a penalty
+through its :func:`penalty_parts`.
 """
 
 from __future__ import annotations
@@ -33,20 +37,25 @@ from .core import (
     Regimes,
 )
 
-__all__ = ["penalty_function", "penalty_value"]
+__all__ = ["penalty_parts", "penalty_function", "penalty_value"]
 
 
-def penalty_function(model: ModelSpec, n: int) -> Callable[[Regimes], np.ndarray]:
-    """The penalty of ``model`` on a series of length ``n``, as a function of
-    a batch of configurations' :class:`~cetseg.core.Regimes`: one value
-    per configuration.
+def penalty_parts(model: ModelSpec, n: int) -> tuple[np.ndarray, float, float]:
+    """``(by_count, per_regime, per_boundary)``: ``model`` charges a
+    configuration of a length-``n`` series with ``m`` changepoints, regime
+    lengths ``len_k`` and boundaries ``tau_i`` the penalty ``by_count[m] +
+    per_regime sum_k log len_k + per_boundary sum_{i>=2} log tau_i``.
 
-    Raises
-    ------
-    DomainError
-        For model families that carry their own scoring rule (joinpin
-        and long-memory).
-    """
+    BIC depends on ``m`` only.  MDL's ``by_count[0] = -r log N`` cancels
+    the one regime's ``r log N``, so the empty configuration is charged 0.
+    Raises :class:`DomainError` for the families that carry their own
+    scoring rule (joinpin and long-memory)."""
+    return _parts(model, n)[1:]
+
+
+def _parts(model: ModelSpec, n: int):
+    """``math.log(k)`` at index ``k = 1..n`` and 0.0 at index 0 (None under
+    BIC, which needs no logs of lengths), then :func:`penalty_parts`."""
     family = model.family
     if family.regime_params is None:
         raise DomainError(f"{model.label()} carries its own scoring rule")
@@ -54,21 +63,30 @@ def penalty_function(model: ModelSpec, n: int) -> Callable[[Regimes], np.ndarray
     a = int(model.error_model is ErrorModel.AR1)
     log_n = math.log(n)
     if model.penalty is Penalty.BIC:
-        return lambda regimes: ((r + 1) * regimes.m + r + g + a) * log_n
-    # log k for k = 1..n; index 0 only ever stands for an empty configuration.
+        return None, ((r + 1) * np.arange(n) + r + g + a) * log_n, 0.0, 0.0
     log_of = np.array([0.0, *map(math.log, range(1, n + 1))])
+    by_count = (g + a) * log_n + 2.0 * log_of[:n]
+    by_count[0] = -r * log_n
+    return log_of, by_count, float(r), 2.0
 
-    def mdl(regimes: Regimes) -> np.ndarray:
-        m = regimes.m
-        value = (g + a) * log_n + 2.0 * log_of[m]
-        value += r * regimes.row_sums(log_of[regimes.lengths])
+
+def penalty_function(model: ModelSpec, n: int) -> Callable[[Regimes], np.ndarray]:
+    """The penalty of ``model`` on a series of length ``n``, as a function of
+    a batch of configurations' :class:`~cetseg.core.Regimes`: one value
+    per configuration.  Raises as :func:`penalty_parts`."""
+    log_of, by_count, per_regime, per_boundary = _parts(model, n)
+    if log_of is None:
+        return lambda regimes: by_count[regimes.m]
+
+    def additive(regimes: Regimes) -> np.ndarray:
+        value = by_count[regimes.m]
+        value += per_regime * regimes.row_sums(log_of[regimes.lengths])
         # every boundary but the first: the starts of regimes 2, 3, ...
         later = np.where(regimes.col >= 2, log_of[regimes.starts], 0.0)
-        value += 2.0 * regimes.row_sums(later)
-        value[m == 0] = 0.0
+        value += per_boundary * regimes.row_sums(later)
         return value
 
-    return mdl
+    return additive
 
 
 def penalty_value(model: ModelSpec, n: int, config: ChangepointConfiguration) -> float:

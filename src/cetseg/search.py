@@ -7,8 +7,11 @@ configurations in batches with an O(m) fast score, for the families
 here the one :mod:`cetseg.fastscore` builds per search from prefix sums:
 the GA one batch per generation (the configurations it has not scored
 yet), exhaustive enumeration fixed-size chunks, the DP the winners of
-each pass.  One rule, shared with joinpin through :func:`ga_search`,
-trusts those scores: a configuration the fast score leaves undecided
+each pass.  No score rule is written here: :mod:`cetseg.penalties` owns
+the penalties and :mod:`cetseg.fastscore` the fast scores, and the DP
+reads its penalty parts and its per-regime RSS table from them.  One
+rule, shared with joinpin through :func:`ga_search`, trusts those
+scores: a configuration the fast score leaves undecided
 (NaN) is scored by the reference fit, here :func:`evaluate`, and the
 winner's reference refit is the reported result, which must match its
 search score within ``REFIT_RTOL``.  A configuration's score does not
@@ -27,7 +30,7 @@ or the population, so searches that share the key draw the same
 arrays.  Inside a :func:`shared_draws` scope they are drawn once, kept
 compactly up to a size limit, and replayed to every later search with
 that key; outside any scope each search draws its own and keeps
-nothing.
+nothing.  Replaying a kept generation costs about 2% of drawing it.
 
 Ties are broken identically everywhere: lower score, then fewer
 changepoints, then lexicographically smaller boundary indices.
@@ -45,7 +48,6 @@ from itertools import chain, islice
 from typing import Callable, Iterator, Sequence
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from . import estimation
 from .core import (
@@ -58,12 +60,11 @@ from .core import (
     InfeasibleModelError,
     MeanStructure,
     ModelSpec,
-    Penalty,
     TimeSeries,
 )
 from .estimation import LOG_2PI
-from .fastscore import _centred_sums, score_function
-from .penalties import penalty_value
+from .fastscore import by_length, score_function, trend_rss_table
+from .penalties import penalty_parts, penalty_value
 
 __all__ = [
     "min_segment_length",
@@ -220,8 +221,6 @@ class GARun:
     evaluations_count: int
 
 
-_INF = math.inf
-
 # A batch of distinct boundary tuples -> one score each (NaN: undecided).
 Fitness = Callable[[list[tuple[int, ...]]], Sequence[float]]
 # One feasible boundary tuple -> its reference fit.
@@ -239,7 +238,7 @@ def _fallback(fast: Fitness, reference: Reference) -> Fitness:
             try:
                 scores[i] = reference(configs[i]).score
             except DegenerateFitError:
-                scores[i] = _INF
+                scores[i] = math.inf
         return scores.tolist()
 
     return fitness
@@ -247,7 +246,7 @@ def _fallback(fast: Fitness, reference: Reference) -> Fitness:
 
 def _refit(reference: Reference, taus: tuple[int, ...], score: float) -> FitResult:
     """The ``reference`` fit of a search winner, checked against its search score."""
-    if score == _INF:
+    if score == math.inf:
         raise DegenerateFitError("every configuration encountered fits the data exactly")
     best = reference(taus)
     if not math.isclose(best.score, score, rel_tol=REFIT_RTOL, abs_tol=REFIT_RTOL):
@@ -258,6 +257,33 @@ def _refit(reference: Reference, taus: tuple[int, ...], score: float) -> FitResu
 
 def _reference(series: TimeSeries, model: ModelSpec) -> Reference:
     return lambda taus: evaluate(series, model, ChangepointConfiguration(taus))
+
+
+def _report(reference: Reference, taus: tuple[int, ...], score: float, evaluations: int,
+            history: Sequence[float] = (), generations: int = 0,
+            seed: int | None = None) -> SearchReport:
+    """The report of a search whose winner ``taus`` scored ``score``: the
+    winner's ``reference`` refit, and the best score after each generation
+    (``score`` alone for a search without generations), with the winner's
+    fast score replaced by its refit and no earlier entry below that."""
+    best = _refit(reference, taus, score)
+    history = tuple(best.score if entry == score else max(entry, best.score)
+                    for entry in history or (score,))
+    return SearchReport(best, history, generations, evaluations, seed)
+
+
+def _changepoint_cap(n: int, min_len: int, max_m: int | None) -> int:
+    """``max_m``, or ``n - 1`` where it is None.  Raises
+    :class:`InfeasibleModelError` if ``n < 2 * min_len``, so that no
+    changepoint fits, and :class:`DomainError` if ``max_m < 0``."""
+    if n < 2 * min_len:
+        raise InfeasibleModelError(
+            f"series of length {n} is too short to search (need >= {2 * min_len})"
+        )
+    cap = n - 1 if max_m is None else max_m
+    if cap < 0:
+        raise DomainError("max_m must be >= 0")
+    return cap
 
 
 def _enumerate_configs(n: int, min_len: int, max_m: int) -> Iterator[tuple[int, ...]]:
@@ -296,64 +322,21 @@ def exhaustive_optimize(
         raise DomainError("max_m must be >= 0")
     reference = _reference(series, model)
     fitness = _fallback(score_function(series, model), reference)
-    best_key = None
+    keys = []  # the least per chunk
     evaluations = 0
     configs = _enumerate_configs(n, min_len, max_m)
     while chunk := list(islice(configs, _CHUNK)):
         evaluations += len(chunk)
-        key = min(zip(fitness(chunk), map(len, chunk), chunk))
-        if best_key is None or key < best_key:
-            best_key = key
-    best = _refit(reference, best_key[2], best_key[0])
-    return SearchReport(
-        best=best,
-        score_history=(best.score,),
-        generations_run=0,
-        evaluations_count=evaluations,
-        seed=None,
-    )
-
-
-def _by_length(per_difference: np.ndarray) -> np.ndarray:
-    """The read-only ``(n+1, n+1)`` view whose entry ``[e, s]`` is the
-    value of ``per_difference``, given over ``-n..n``, at ``e - s``."""
-    n = per_difference.size // 2
-    return sliding_window_view(per_difference, n + 1)[:, ::-1]
-
-
-def _segment_rss(values: np.ndarray, min_len: int) -> tuple[np.ndarray, float]:
-    """The table ``R[e, s]`` of the residual sums of squares of the line
-    fitted to indices ``s+1..e`` (+inf where ``e - s < min_len``), each the
-    term the trend-shift scorer adds for that regime, and the scorers'
-    trust floor."""
-    n = values.size
-    _, _, (X, XX, T, TX), floor = _centred_sums(values)
-    d = np.arange(-n, n + 1.0)
-    k = _by_length(d)
-    # Three tables at a time, combined in the order the scorer adds its terms.
-    sx = X[:, None] - X
-    stx = TX[:, None] - TX
-    with np.errstate(divide="ignore", invalid="ignore"):
-        term = T[:, None] - T
-        term *= sx
-        term /= k
-        stx -= term  # centred t x
-        np.divide(stx, _by_length(d * (d * d - 1) / 12.0), out=term)  # the slope
-        stx *= term
-        sx *= sx
-        sx /= k
-        np.subtract(XX[:, None], XX, out=term)
-        term -= sx
-        term -= stx
-    term[k < min_len] = _INF
-    return term, floor
+        keys.append(min(zip(fitness(chunk), map(len, chunk), chunk)))
+    score, _, taus = min(keys)
+    return _report(reference, taus, score, evaluations)
 
 
 def _least_penalized(rss: np.ndarray, min_len: int, betas: np.ndarray) -> np.ndarray:
     """For each ``beta``, the least ``RSS + beta m`` over all configurations
     (optimal partitioning, Jackson et al. 2005)."""
     n = rss.shape[0] - 1
-    best = np.full((betas.size, n + 1), _INF)
+    best = np.full((betas.size, n + 1), math.inf)
     best[:, 0] = -betas  # the first regime closes no changepoint
     for e in range(min_len, n + 1):
         best[:, e] = np.min(best[:, :e - min_len + 1] + rss[e, :e - min_len + 1], axis=1)
@@ -363,19 +346,21 @@ def _least_penalized(rss: np.ndarray, min_len: int, betas: np.ndarray) -> np.nda
 
 class _Partitions:
     """Segment-neighbourhood DP (Auger and Lawrence 1989) over ``R + mu A``,
-    where ``A = r sum_k log len_k + 2 sum_{i>=2} log tau_i`` is the part of
-    MDL that is additive over regimes."""
+    where ``A = per_regime sum_k log len_k + per_boundary sum_{i>=2} log
+    tau_i`` is the part of the penalty that is additive over regimes
+    (:func:`~cetseg.penalties.penalty_parts`)."""
 
-    def __init__(self, rss: np.ndarray, r: int, min_len: int):
-        self.rss, self.r, self.min_len = rss, r, min_len
+    def __init__(self, rss: np.ndarray, per_regime: float, per_boundary: float, min_len: int):
+        self.rss, self.min_len = rss, min_len
+        self.per_regime, self.per_boundary = per_regime, per_boundary
         n = rss.shape[0] - 1
         self.log = np.log(np.maximum(np.arange(n + 1), 1))
-        self.len_term = _by_length(r * np.log(np.maximum(np.arange(-n, n + 1.0), 1.0)))
+        self.len_term = by_length(per_regime * np.log(np.maximum(np.arange(-n, n + 1.0), 1.0)))
         self.block = np.empty_like(rss)
         self.cost = None  # made at the first mu > 0
 
     def _cost(self, mu: float) -> np.ndarray:
-        """The table ``R + mu r log len``, in one buffer for every ``mu > 0``."""
+        """The table ``R + mu per_regime log len``, in one buffer for every ``mu > 0``."""
         if mu == 0.0:
             return self.rss
         if self.cost is None:
@@ -392,7 +377,7 @@ class _Partitions:
         rss, min_len = self.rss, self.min_len
         n = rss.shape[0] - 1
         cost = self._cost(mu)
-        start = 2.0 * mu * self.log
+        start = self.per_boundary * mu * self.log
         least = cost[:, 0].copy()
         yield least, None
         for j in range(1, depth + 1):
@@ -405,7 +390,7 @@ class _Partitions:
             block = np.add(prev, cost[lo:, first:n - min_len + 1],
                            out=self.block[:n + 1 - lo, :prev.size])
             arg = block.argmin(axis=1)
-            least = np.full(n + 1, _INF)
+            least = np.full(n + 1, math.inf)
             least[lo:] = block[np.arange(arg.size), arg]
             back = np.zeros(n + 1, np.intp)
             back[lo:] = arg + first
@@ -426,8 +411,8 @@ class _Partitions:
         bounds = (0, *taus, self.rss.shape[0] - 1)
         segments = list(zip(bounds[1:], bounds))
         rss = math.fsum(self.rss[e, s] for e, s in segments)
-        additive = self.r * math.fsum(self.log[e - s] for e, s in segments)
-        return rss, additive + 2.0 * math.fsum(self.log[tau] for tau in taus[1:])
+        additive = self.per_regime * math.fsum(self.log[e - s] for e, s in segments)
+        return rss, additive + self.per_boundary * math.fsum(self.log[tau] for tau in taus[1:])
 
 
 class UncertifiedError(CetsegError):
@@ -452,16 +437,17 @@ def exact_optimize(
     """Exact minimum of the trend-shift+wn score over configurations with
     at most ``max_m`` changepoints.
 
-    Both penalties score ``N log RSS`` plus a penalty, and the RSS is a
-    sum of per-regime least squares, so segment-neighbourhood DP over the
-    per-regime RSS gives the least RSS for each changepoint count ``m``.
-    Under BIC the penalty depends on ``m`` only, so that is the answer
+    The score is ``N log RSS`` plus a penalty, whose parts
+    (:func:`~cetseg.penalties.penalty_parts`) are a term in ``m`` and
+    ``A``, a sum over regimes and boundaries.  The RSS is a sum of
+    per-regime least squares (:func:`~cetseg.fastscore.trend_rss_table`),
+    so segment-neighbourhood DP over them gives the least RSS for each
+    changepoint count ``m``.  Where ``A`` is 0 (BIC), that is the answer
     for ``m``.  Counts stop where a lower bound on the scores of all
     larger counts reaches the best score found: a bound on the least RSS
     at each count, from optimal partitioning with a grid of penalties per
     changepoint (the Lagrangian dual), plus a floor on the penalty.
-    Under MDL the penalty adds ``A``, a sum over regimes
-    (:class:`_Partitions`).  For each ``m`` the RSS that can still beat
+    Otherwise (MDL), for each ``m`` the RSS that can still beat
     the best score lies in an interval, from the least RSS at ``m`` to
     the largest the best score allows.  On it the chord of ``N log RSS``
     bounds the score below by ``c + N slope (R + A / (N slope))``, which
@@ -491,15 +477,8 @@ def exact_optimize(
         raise DomainError(f"no exact search for {model.label()}")
     n = series.n
     min_len = min_segment_length(model)
-    if n < 2 * min_len:
-        raise InfeasibleModelError(
-            f"series of length {n} is too short to search (need >= {2 * min_len})"
-        )
-    top = n // min_len - 1
-    top = top if max_m is None else min(max_m, top)
-    if top < 0:
-        raise DomainError("max_m must be >= 0")
-    rss, floor = _segment_rss(series.values, min_len)
+    top = min(_changepoint_cap(n, min_len, max_m), n // min_len - 1)
+    rss, floor = trend_rss_table(series.values, min_len)
     # At every m, RSS >= least(RSS + beta m') - beta m for each beta of a
     # grid (beta = 0 gives the least RSS of all).
     betas = rss[n, 0] * np.concatenate(([0.0], 0.5 ** np.arange(1, 17)))
@@ -519,26 +498,18 @@ def exact_optimize(
             scored.update(zip(fresh, fitness(fresh)))
         return min(scored.values())
 
-    family = model.family
-    r, g = family.regime_params, family.global_params
-    log_n = math.log(n)
-    base = n * (1.0 + LOG_2PI - log_n)  # the score is base + N log RSS + penalty
+    # The score is base + N log RSS + by_count[m] + A.
+    base = n * (1.0 + LOG_2PI - math.log(n))
+    by_count, per_regime, per_boundary = penalty_parts(model, n)
     m = np.arange(top + 1)
-    mdl = model.penalty is Penalty.MDL
-    if mdl:
-        # The least A at m: m regimes of min_len and one of the rest, with
-        # tau_i = min_len i; MDL charges nothing at m = 0.
-        log_m = np.log(np.maximum(m, 1))
-        extra = g * log_n + 2.0 * log_m  # the part of MDL not in A
-        least_a = r * (m * math.log(min_len) + np.log(n - min_len * m))
-        least_a += 2.0 * np.cumsum(np.where(m >= 2, math.log(min_len) + log_m, 0.0))
-        extra[0] = least_a[0] = 0.0
-    else:
-        extra = ((r + 1) * m + r + g) * log_n
-        least_a = np.zeros(top + 1)
+    # The least A at m: m regimes of min_len and one of the rest, with
+    # tau_i = min_len i.
+    least_a = per_regime * (m * math.log(min_len) + np.log(n - min_len * m))
+    later = np.where(m >= 2, math.log(min_len) + np.log(np.maximum(m, 1)), 0.0)
+    least_a += per_boundary * np.cumsum(later)
     # A lower bound on every score at m or more changepoints, rising in m.
     rising = base + n * np.log(np.max(penalized[:, None] - np.outer(betas, m), axis=0))
-    rising += extra + least_a
+    rising += by_count[:top + 1] + least_a
     rising = np.minimum.accumulate(rising[::-1])[::-1]
 
     def margin(score: float) -> float:
@@ -546,25 +517,27 @@ def exact_optimize(
 
     # The least RSS at each m (mu = 0), up to where the rising bound
     # reaches the best of their scores.
-    partitions = _Partitions(rss, r, min_len)
+    partitions = _Partitions(rss, per_regime, per_boundary, min_len)
     layers = []
     winners = []
-    incumbent = _INF
+    incumbent = math.inf
     for j, layer in enumerate(partitions.layers(0.0, top)):
         layers.append(layer)
         winners.append(partitions.taus(layers, j))
-        incumbent = min(incumbent, base + n * math.log(layer[0][n]) + extra[j]
-                        + (partitions.totals(winners[j])[1] if mdl and j else 0.0))
+        incumbent = min(incumbent, base + n * math.log(layer[0][n]) + by_count[j]
+                        + partitions.totals(winners[j])[1])
         if j == top or rising[j + 1] >= incumbent - margin(incumbent):
             break
     incumbent = consider(winners)
 
-    # MDL: (m, low, high) intervals of RSS that may still beat the best.
-    intervals = [(j, float(layers[j][0][n]), _INF) for j in range(1, len(layers))] if mdl else []
+    # (m, low, high) intervals of RSS that may still beat the best; where
+    # A is 0 (BIC), the least RSS at m is that count's answer.
+    intervals = [(j, float(layers[j][0][n]), math.inf) for j in range(1, len(layers))
+                 if per_regime or per_boundary]
     while intervals:
         chords = []
         for j, a, b in intervals:
-            log_b = (incumbent - base - extra[j] - least_a[j]) / n
+            log_b = (incumbent - base - by_count[j] - least_a[j]) / n
             b = min(b, math.exp(log_b) if log_b < 709.0 else sys.float_info.max)
             if b >= a:
                 slope = math.log1p((b - a) / a) / (b - a) if b > a else 1.0 / a
@@ -581,7 +554,7 @@ def exact_optimize(
         for i, (mu_j, j, a, b) in enumerate(chords):
             # R + mu_j A >= (R + mu A) + (mu_j - mu) min A, for mu <= mu_j.
             value = float(layers[j][0][n]) + (mu_j - mu) * least_a[j]
-            if base + n * math.log(a) + extra[j] + (value - a) / mu_j \
+            if base + n * math.log(a) + by_count[j] + (value - a) / mu_j \
                     >= incumbent - margin(incumbent):
                 continue
             if i:
@@ -596,15 +569,8 @@ def exact_optimize(
                 raise UncertifiedError(f"{model.label()}: rounding exceeds the "
                                        "certificate's margin")
 
-    taus = min((score, len(taus), taus) for taus, score in scored.items())[2]
-    best = _refit(reference, taus, scored[taus])
-    return SearchReport(
-        best=best,
-        score_history=(best.score,),
-        generations_run=0,
-        evaluations_count=len(scored),
-        seed=None,
-    )
+    score, _, taus = min((score, len(taus), taus) for taus, score in scored.items())
+    return _report(reference, taus, score, len(scored))
 
 
 def _bit_matrix(configs: Sequence[tuple[int, ...]], length: int) -> np.ndarray:
@@ -664,12 +630,8 @@ def shared_draws() -> Iterator[None]:
     Each generation's random arrays are drawn once per draw key (see
     :func:`ga_minimize`) and replayed to every later search with the
     same key, so the searches' results are exactly those they give
-    alone.  A nested scope uses the outermost scope's memo; the memo is
-    dropped when the outermost scope exits.
+    alone.  A scope starts with an empty memo and drops it on exit.
     """
-    if _SHARED.get() is not None:
-        yield
-        return
     token = _SHARED.set({})
     try:
         yield
@@ -765,11 +727,8 @@ def ga_minimize(
     population.  A generation of C children draws, in this order,
     tournament picks ``(C, 6)``, crossover uniforms ``(C,)``, a
     crossover mask ``(C, n-1)`` and mutation flips ``(C, n-1)``, with
-    row i belonging to child i.  The draws depend only on
-    ``(params.seed, generation)`` and the draw key ``(params.seed,
-    population_size, C, n-1, crossover_prob, mutation_rate / (n-1))``;
-    inside a :func:`shared_draws` scope a search replays the draws an
-    earlier search with the same key made, with the same result.
+    row i belonging to child i; see the module docstring for the draw
+    key that :func:`shared_draws` replays by.
 
     Raises
     ------
@@ -781,14 +740,8 @@ def ga_minimize(
     DegenerateFitError
         If every configuration encountered scores +inf.
     """
-    if n < 2 * min_len:
-        raise InfeasibleModelError(
-            f"series of length {n} is too short to search (need >= {2 * min_len})"
-        )
+    cap = _changepoint_cap(n, min_len, max_m)
     length = n - 1
-    cap = length if max_m is None else max_m
-    if cap < 0:
-        raise DomainError("max_m must be >= 0")
     for taus in initial:
         ChangepointConfiguration(taus)._check_n(n)
     pop_size = params.population_size
@@ -841,7 +794,7 @@ def ga_minimize(
         if stagnation >= params.stagnation_limit:
             break
 
-    if best_key[0] == _INF:
+    if best_key[0] == math.inf:
         raise DegenerateFitError("every configuration encountered fits the data exactly")
     return GARun(best_key[2], best_key[0], tuple(history), generations, len(cache))
 
@@ -860,20 +813,8 @@ def ga_search(
     run = ga_minimize(
         _fallback(fast, reference), n, min_len, params, max_m=max_m, initial=initial
     )
-    best = _refit(reference, run.taus, run.score)
-    # The final best entries are the winner's fast score; report its refit
-    # there, without letting an earlier entry fall below it.
-    history = tuple(
-        best.score if score == run.score else max(score, best.score)
-        for score in run.score_history
-    )
-    return SearchReport(
-        best=best,
-        score_history=history,
-        generations_run=run.generations_run,
-        evaluations_count=run.evaluations_count,
-        seed=params.seed,
-    )
+    return _report(reference, run.taus, run.score, run.evaluations_count,
+                   run.score_history, run.generations_run, params.seed)
 
 
 def ga_optimize(

@@ -11,8 +11,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cetseg import ChangepointConfiguration, DegenerateFitError, ModelSpec, TimeSeries, search
-from cetseg.fastscore import joinpin_rss, score_function
+from cetseg.core import Regimes
+from cetseg.estimation import LOG_2PI
+from cetseg.fastscore import joinpin_rss, score_function, trend_rss_table
 from cetseg.joinpin import _neg2loglik, default_knot_penalty, fit_joinpin, joinpin_search
+from cetseg.penalties import penalty_function
 from cetseg.search import (
     REFIT_RTOL,
     GAParams,
@@ -269,3 +272,39 @@ def test_batch_scores_do_not_depend_on_the_batch(case):
     doubled = score(configs + [configs[i] for i in order])
     for value, i in zip(doubled, [*range(len(configs)), *order]):
         assert _same(value, alone[i]), (configs[i], value, alone[i])
+
+
+def _check_rss_table(series, configs, penalty):
+    """The exact search's regime-RSS table, summed in regime order, scores
+    each configuration as the trend-shift+wn batch scorer does, bit for bit."""
+    n = series.n
+    model = ModelSpec("trend-shift", "wn", penalty)
+    table, _ = trend_rss_table(series.values, min_segment_length(model))
+    scores = score_function(series, model)(configs)
+    penalties = penalty_function(model, n)(Regimes(configs, n))
+    checked = 0
+    for taus, score, pen in zip(configs, scores.tolist(), penalties.tolist()):
+        if math.isnan(score):  # left to the reference fit
+            continue
+        bounds = (0, *taus, n)
+        rss = 0.0
+        for s, e in zip(bounds, bounds[1:]):
+            rss += table[e, s]
+        assert n * (math.log(rss / n) + 1.0 + LOG_2PI) + pen == score, taus
+        checked += 1
+    return checked
+
+
+@given(n=st.integers(6, 40), offset=st.floats(0.0, 1e6), scale=st.floats(1e-3, 1e3),
+       seed=st.integers(0, 2**32 - 1), penalty=st.sampled_from(("bic", "mdl")))
+@settings(max_examples=300, deadline=None)
+def test_rss_table_matches_the_trend_scorer_bit_for_bit(n, offset, scale, seed, penalty):
+    series = TimeSeries(1900, offset + scale * np.random.default_rng(seed).standard_normal(n))
+    _check_rss_table(series, [(), *_random_configs(series, 3, 20, seed)], penalty)
+
+
+@pytest.mark.parametrize("penalty", ["bic", "mdl"])
+def test_rss_table_matches_the_trend_scorer_at_the_paper_length(penalty):
+    series = _cet_like(1)
+    configs = [(), (41, 80, 329), *_random_configs(series, 3, 200, 5)]
+    assert _check_rss_table(series, configs, penalty) == len(configs)

@@ -708,7 +708,7 @@ class TestCliCompare:
 
     def test_in_process_groups_draw_each_generation_once(self, csv_file, capsys,
                                                          monkeypatch):
-        # both groups replay one draw memo, as the nine searches did in one loop
+        # in-process, every row runs in one loop and one draw memo
         monkeypatch.setattr(cli, "_fork_is_safe", lambda: False)
         drawn = []
         draw = search._draw

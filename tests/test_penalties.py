@@ -3,7 +3,7 @@ import math
 import pytest
 
 from cetseg import ChangepointConfiguration, DomainError, ModelSpec
-from cetseg.penalties import penalty_value
+from cetseg.penalties import penalty_parts, penalty_value
 
 N = 362
 CFG3 = ChangepointConfiguration((41, 80, 329))
@@ -97,9 +97,38 @@ class TestDispatch:
             penalty_value(ModelSpec("joinpin", "wn", "bic"), N, CFG3)
         with pytest.raises(DomainError):
             penalty_value(ModelSpec("long-memory", "ar1", "bic"), N, CFG3)
+        with pytest.raises(DomainError):
+            penalty_parts(ModelSpec("joinpin", "wn", "bic"), N)
 
     def test_context_validates(self):
         with pytest.raises(DomainError):
             penalty_value(ModelSpec("mean-shift", "ar1"), 0, CFG3)
         with pytest.raises(DomainError):
             penalty_value(ModelSpec("mean-shift", "ar1"), 300, CFG3)
+
+
+# Every family with its own penalty parts, with each of its error models.
+PART_FAMILIES = [
+    ("mean-shift", "ar1"),
+    ("trend-shift", "ar1"),
+    ("trend-shift", "wn"),
+    ("fixed-slope", "ar1"),
+    ("variance-shift", "wn"),
+]
+
+
+@pytest.mark.parametrize("penalty", ["bic", "mdl"])
+@pytest.mark.parametrize("model,errors", PART_FAMILIES)
+@pytest.mark.parametrize("n", [24, 362])
+def test_parts_rebuild_the_penalty(model, errors, penalty, n):
+    spec = ModelSpec(model, errors, penalty)
+    by_count, per_regime, per_boundary = penalty_parts(spec, n)
+    min_len = spec.family.min_len
+    shortest = tuple(range(min_len, n - min_len + 1, min_len))  # all but the last of min_len
+    for taus in [(), (n // 2,), (n // 4, n // 2, n - 5), shortest]:
+        config = ChangepointConfiguration(taus)
+        rebuilt = (by_count[config.m]
+                   + per_regime * sum(map(math.log, config.regime_lengths(n)))
+                   + per_boundary * sum(math.log(tau) for tau in taus[1:]))
+        expected = penalty_value(spec, n, config)
+        assert math.isclose(rebuilt, expected, rel_tol=1e-12), (taus, rebuilt, expected)

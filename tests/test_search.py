@@ -560,25 +560,20 @@ class TestSharedDraws:
             assert ga_minimize(fitness, self.N, 3, self.PARAMS) == alone
         assert [gen for _, gen in built] == [0, *range(6, 13)]
 
-    def test_memo_lives_only_in_the_outermost_scope(self, monkeypatch):
+    def test_memo_is_dropped_on_exit_and_a_new_scope_starts_empty(self, monkeypatch):
         fitness = self._fitness("mean-shift", "ar1")
         built = self._count_generators(monkeypatch)
         assert search._SHARED.get() is None
         with shared_draws():
-            memo = search._SHARED.get()
             ga_minimize(fitness, self.N, 1, self.PARAMS)
-            with shared_draws():
-                assert search._SHARED.get() is memo
-                ga_minimize(fitness, self.N, 1, self.PARAMS)
-            assert search._SHARED.get() is memo
-            assert len(built) == 14
+            assert [len(kept) for kept in search._SHARED.get().values()] == [12]
         assert search._SHARED.get() is None
         # outside any scope, and in a new scope, every search draws afresh
         ga_minimize(fitness, self.N, 1, self.PARAMS)
         with shared_draws():
             assert search._SHARED.get() == {}
             ga_minimize(fitness, self.N, 1, self.PARAMS)
-        assert len(built) == 40
+        assert len(built) == 3 * 13
 
     def test_memo_is_dropped_when_the_scope_raises(self):
         with pytest.raises(DegenerateFitError):
