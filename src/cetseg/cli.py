@@ -2,12 +2,12 @@
 
 Subcommands: ``fit`` (one model), ``compare`` (the full model table),
 ``residuals`` (``fit --out csv``), ``simulate`` (synthetic data).
-``compare`` runs its four MDL rows in one forked worker process while
-this process runs the seven BIC rows (joinpin and the two long-memory
-rows among them), and prints the rows in table order.  It runs all
-eleven in-process, in table order, where fork is unsafe or missing
-(macOS, Windows, a process running other threads) or only one CPU is in
-its affinity.
+``compare`` runs its rows in two groups, each in table order: the seven
+BIC rows (joinpin and the two long-memory rows among them), then the
+four MDL rows.  One forked worker process runs the MDL group while this
+process runs the BIC group; where fork is unsafe or missing (macOS,
+Windows, a process running other threads) or only one CPU is in its
+affinity, this process runs both.  The rows print in table order.
 Exit codes: 0 success, 2 bad input data or request/data mismatch,
 3 infeasible model constraints.
 
@@ -315,28 +315,24 @@ def _fork_is_safe() -> bool:
 
 
 def _run_rows(rows: list[tuple[str, str, str]], series: TimeSeries, params: GAParams,
-              max_m: int | None, sigma2: float | None) -> tuple[list[dict[str, Any]], Exception | None]:
-    """Run compare rows in order; returns the result dicts of the rows
-    before the first that raised, and that row's error (None if none did).
-
-    The rows' searches share their seed and GA settings, so each
-    generation's draws are made once and replayed to the rest.
-    """
-    results = []
-    with shared_draws():
-        for model, errors, penalty in rows:
-            req = AnalysisRequest(
-                series=series, model=model, errors=errors, penalty=penalty,
-                ga_params=params, max_m=max_m, sigma2=sigma2,
-            )
-            try:
-                result, fit, _ = run_analysis(req)
-            except Exception as err:  # raised by the caller, in table order
-                return results, err
-            if (model, errors, penalty) == _SIGMA2_ROW and sigma2 is None:
-                sigma2 = fit.sigma2_hat
-            results.append(result)
-    return results, None
+              max_m: int | None, sigma2: float | None
+              ) -> dict[tuple[str, str, str], dict[str, Any] | Exception]:
+    """Run compare rows in order, up to the first that raises; returns
+    each row run's result dict, or the error it raised."""
+    done: dict[tuple[str, str, str], dict[str, Any] | Exception] = {}
+    for row in rows:
+        model, errors, penalty = row
+        req = AnalysisRequest(series=series, model=model, errors=errors, penalty=penalty,
+                              ga_params=params, max_m=max_m, sigma2=sigma2)
+        try:
+            result, fit, _ = run_analysis(req)
+        except Exception as err:  # raised by _compare_rows, in table order
+            done[row] = err
+            break
+        if row == _SIGMA2_ROW and sigma2 is None:
+            sigma2 = fit.sigma2_hat
+        done[row] = result
+    return done
 
 
 def _worker(conn, *args) -> None:
@@ -349,50 +345,48 @@ def _compare_rows(series: TimeSeries, params: GAParams, max_m: int | None,
                   sigma2: float | None) -> list[dict[str, Any]]:
     """The result dicts of ``_COMPARE_ROWS``, in table order.
 
-    The MDL rows run in a forked worker while this process runs the BIC
-    rows (joinpin, whose σ² comes from a BIC row, and the long-memory
-    rows among them); where fork is not safe, all rows run here in table
-    order.  If rows fail, the error of the earliest in table order is
-    raised, as a run of the rows in order would raise it; a worker that
-    dies without sending its rows raises ``RuntimeError``.
+    Two groups run, each in table order up to its first failure: the BIC
+    rows (joinpin, whose σ² comes from a BIC row, among them), then the
+    MDL rows.  A forked worker runs the MDL group while this process runs
+    the BIC group; where fork is not safe, this process runs both.  The
+    rows' searches share their seed and GA settings, so in one
+    ``shared_draws()`` scope, which a worker inherits empty, each process
+    draws each generation once.  The earliest failing row in table order
+    raises its error; a row that a group skipped follows that group's
+    failure.  A worker that dies without sending its rows raises
+    ``RuntimeError``.
     """
     args = (series, params, max_m, sigma2)
-    if _fork_is_safe():
-        import multiprocessing
+    bic = [row for row in _COMPARE_ROWS if row[2] != "mdl"]
+    mdl = [row for row in _COMPARE_ROWS if row[2] == "mdl"]
+    with shared_draws():
+        if _fork_is_safe():
+            import multiprocessing
 
-        groups = [[row for row in _COMPARE_ROWS if row[2] != "mdl"],
-                  [row for row in _COMPARE_ROWS if row[2] == "mdl"]]
-        context = multiprocessing.get_context("fork")
-        receiver, sender = context.Pipe(duplex=False)
-        worker = context.Process(target=_worker, args=(sender, groups[1], *args))
-        worker.start()  # flushes sys.stdout and sys.stderr before it forks
-        sender.close()
-        try:
-            outcomes = [_run_rows(groups[0], *args)]
+            context = multiprocessing.get_context("fork")
+            receiver, sender = context.Pipe(duplex=False)
+            worker = context.Process(target=_worker, args=(sender, mdl, *args))
+            worker.start()  # flushes sys.stdout and sys.stderr before it forks
+            sender.close()
             try:
-                outcomes.append(receiver.recv())
-            except EOFError:
+                done = _run_rows(bic, *args)
+                try:
+                    done.update(receiver.recv())
+                except EOFError:
+                    worker.join()
+                    raise RuntimeError(f"compare's MDL worker (pid {worker.pid}) exited with "
+                                       f"code {worker.exitcode} before sending its rows") from None
+            except BaseException:
+                worker.terminate()
+                raise
+            finally:
+                receiver.close()
                 worker.join()
-                raise RuntimeError(f"compare's MDL worker (pid {worker.pid}) exited with "
-                                   f"code {worker.exitcode} before sending its rows") from None
-        except BaseException:
-            worker.terminate()
-            raise
-        finally:
-            receiver.close()
-            worker.join()
-    else:
-        groups = [_COMPARE_ROWS]
-        outcomes = [_run_rows(_COMPARE_ROWS, *args)]
-
-    done: dict[tuple[str, str, str], dict[str, Any]] = {}
-    failures = []
-    for group, (results, err) in zip(groups, outcomes):
-        done.update(zip(group, results))
-        if err is not None:
-            failures.append((_COMPARE_ROWS.index(group[len(results)]), err))
-    if failures:
-        raise min(failures, key=lambda failure: failure[0])[1]
+        else:
+            done = _run_rows(bic, *args) | _run_rows(mdl, *args)
+    for row in _COMPARE_ROWS:
+        if isinstance(done[row], Exception):
+            raise done[row]
     return [done[row] for row in _COMPARE_ROWS]
 
 

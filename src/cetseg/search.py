@@ -468,8 +468,9 @@ def exact_optimize(
     InfeasibleModelError
         If ``N < 2 * min_segment_length(model)``, as :func:`ga_optimize`.
     UncertifiedError
-        If the least RSS over all configurations is at or below the fast
-        scorers' trust floor; :func:`ga_optimize` searches such series.
+        If a lower bound on the least RSS over configurations with at most
+        ``max_m`` changepoints is at or below the fast scorers' trust
+        floor; :func:`ga_optimize` searches such series.
     RefitMismatchError
         If the winner's reference refit disagrees with its search score.
     """
@@ -480,11 +481,14 @@ def exact_optimize(
     top = min(_changepoint_cap(n, min_len, max_m), n // min_len - 1)
     rss, floor = trend_rss_table(series.values, min_len)
     # At every m, RSS >= least(RSS + beta m') - beta m for each beta of a
-    # grid (beta = 0 gives the least RSS of all).
+    # grid (beta = 0 gives the least RSS of all).  The bound falls in m, so
+    # its value at top bounds the RSS at every count the search may return.
     betas = rss[n, 0] * np.concatenate(([0.0], 0.5 ** np.arange(1, 17)))
-    penalized = _least_penalized(rss, min_len, betas)
-    if not penalized[0] > floor:
-        raise UncertifiedError(f"{model.label()}: a configuration fits to within the "
+    m = np.arange(top + 1)
+    least_rss = np.max(_least_penalized(rss, min_len, betas)[:, None] - np.outer(betas, m),
+                       axis=0)
+    if not least_rss[top] > floor:
+        raise UncertifiedError(f"{model.label()}: a configuration may fit to within the "
                                "fast scorers' trust floor")
 
     reference = _reference(series, model)
@@ -501,14 +505,13 @@ def exact_optimize(
     # The score is base + N log RSS + by_count[m] + A.
     base = n * (1.0 + LOG_2PI - math.log(n))
     by_count, per_regime, per_boundary = penalty_parts(model, n)
-    m = np.arange(top + 1)
     # The least A at m: m regimes of min_len and one of the rest, with
     # tau_i = min_len i.
     least_a = per_regime * (m * math.log(min_len) + np.log(n - min_len * m))
     later = np.where(m >= 2, math.log(min_len) + np.log(np.maximum(m, 1)), 0.0)
     least_a += per_boundary * np.cumsum(later)
     # A lower bound on every score at m or more changepoints, rising in m.
-    rising = base + n * np.log(np.max(penalized[:, None] - np.outer(betas, m), axis=0))
+    rising = base + n * np.log(least_rss)
     rising += by_count[:top + 1] + least_a
     rising = np.minimum.accumulate(rising[::-1])[::-1]
 

@@ -53,6 +53,9 @@ class SimSpec:
             object.__setattr__(self, "betas", betas)
         if not abs(self.phi) < 1.0:
             raise DomainError("|phi| must be < 1 for a stationary noise process")
+        for name, value in (("mus", self.mus), ("betas", self.betas), ("sigma", self.sigma)):
+            if value is not None and not np.all(np.isfinite(value)):
+                raise DomainError(f"{name} must be finite, got {value}")
         if self.sigma < 0.0:
             raise DomainError("sigma must be >= 0")
         if self.seed < 0:
@@ -67,15 +70,18 @@ def simulate_series(spec: SimSpec) -> TimeSeries:
     """Generate the series described by ``spec``.
 
     With ``sigma = 0`` the output is exactly the piecewise mean.  Two
-    calls with the same spec produce identical values.
+    calls with the same spec produce identical values.  A spec whose
+    values overflow raises :class:`~cetseg.core.DomainError`, from
+    :class:`~cetseg.core.TimeSeries`.
     """
     rng = np.random.default_rng(spec.seed)
     total = BURN_IN + spec.n
-    z = spec.sigma * rng.standard_normal(total)
-    eps = np.empty(total)
-    eps[0] = z[0]
-    phi = spec.phi
-    for t in range(1, total):
-        eps[t] = phi * eps[t - 1] + z[t]
-    signal = fitted_mean(spec.config, spec.mus, spec.betas, spec.n)
-    return TimeSeries(spec.first_year, signal + eps[BURN_IN:])
+    with np.errstate(over="ignore", invalid="ignore"):  # TimeSeries rejects the result
+        z = spec.sigma * rng.standard_normal(total)
+        eps = np.empty(total)
+        eps[0] = z[0]
+        phi = spec.phi
+        for t in range(1, total):
+            eps[t] = phi * eps[t - 1] + z[t]
+        values = fitted_mean(spec.config, spec.mus, spec.betas, spec.n) + eps[BURN_IN:]
+    return TimeSeries(spec.first_year, values)

@@ -1,8 +1,10 @@
 """The exact trend-shift+wn search: against the exhaustive oracle at small N,
 against the GA at the paper's length, and its place in every search."""
 
+import inspect
 import json
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -106,6 +108,55 @@ def test_max_m_caps_the_answer():
         # the best configuration with at most max_m changepoints
         assert best.score == min(exact_optimize(series, model, k).best.score
                                  for k in range(max_m + 1))
+
+
+def test_trust_floor_is_checked_at_the_cap():
+    # A zigzag of period 6: seven changepoints fit it to within the trust
+    # floor, but the least RSS with at most two is far above it.
+    t = np.arange(24.0)
+    series = TimeSeries(1900, np.abs(t % 6 - 3) + 1e-4 * np.random.default_rng(0).normal(size=24))
+    for penalty in ("bic", "mdl"):
+        model = ModelSpec("trend-shift", "wn", penalty)
+        with pytest.raises(UncertifiedError):
+            exact_optimize(series, model)
+        best = exact_optimize(series, model, 2).best
+        oracle = exhaustive_optimize(series, model, 2).best
+        assert best.config.taus == oracle.config.taus
+        assert math.isclose(best.score, oracle.score, rel_tol=1e-9)
+
+
+def _run_counting_line(func, line_text, *args):
+    """``func(*args)``, and how often it ran its line that contains ``line_text``."""
+    source, first = inspect.getsourcelines(func)
+    [line] = [first + i for i, text in enumerate(source) if line_text in text]
+    hits = []
+
+    def local(frame, event, arg):
+        if event == "line" and frame.f_lineno == line:
+            hits.append(line)
+        return local
+
+    previous = sys.gettrace()
+    sys.settrace(lambda frame, event, arg: local if frame.f_code is func.__code__ else None)
+    try:
+        result = func(*args)
+    finally:
+        sys.settrace(previous)
+    return result, len(hits)
+
+
+# Unit-noise series whose MDL solve splits an RSS interval in two at a
+# round's winner, as CROPS does: (seed, n) of np.random.default_rng(seed).
+@pytest.mark.parametrize("seed, n", [(26, 18), (43, 18), (47, 15), (74, 12), (148, 12)])
+def test_crops_split_keeps_the_answer_exact(seed, n):
+    series = TimeSeries(1900, np.random.default_rng(seed).normal(size=n))
+    model = ModelSpec("trend-shift", "wn", "mdl")
+    report, splits = _run_counting_line(exact_optimize, "(j, a, split), (j, split, b)",
+                                        series, model)
+    assert splits >= 1
+    oracle = exhaustive_optimize(series, model).best
+    assert report.best.config.taus == oracle.config.taus
+    assert math.isclose(report.best.score, oracle.score, rel_tol=1e-9, abs_tol=1e-9)
 
 
 def test_rejects_what_it_cannot_solve():

@@ -600,6 +600,20 @@ class TestCliSimulate:
         assert main(["simulate", "--n", "10", *flag]) == 3
         assert capsys.readouterr().err.startswith("error: ")
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("flags, message", [
+        (["--sigma", "inf"], "sigma must be finite"),
+        (["--sigma", "nan"], "sigma must be finite"),
+        (["--mu", "inf"], "mus must be finite"),
+        (["--beta", "inf"], "betas must be finite"),
+        (["--mu", "1e308", "--sigma", "1e308"], "series values must be finite"),
+    ])
+    def test_non_finite_parameters_exit_3(self, capsys, flags, message):
+        assert main(["simulate", "--n", "5", *flags]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {message}")
+
     def test_bad_mu_count_exits_3(self, capsys):
         assert main(["simulate", "--n", "20", "--taus", "10", "--mu", "0"]) == 3
 
@@ -676,22 +690,30 @@ class TestCliCompare:
             assert multiprocessing.active_children() == []
         assert outputs[0] == outputs[1]
 
-    @pytest.mark.parametrize("failing, printed, code", [
+    # Both layouts run the same plan: the BIC rows (1, 3, 5, 7, 9, 10, 11),
+    # then the MDL rows (2, 4, 6, 8), each group up to its first failure.
+    @pytest.mark.parametrize("failing, printed, code, started", [
         # an MDL row alone; it runs in the worker when compare forks
-        ({6: DegenerateFitError}, 6, 2),
+        ({6: DegenerateFitError}, 6, 2, [1, 2, 3, 4, 5, 6, 7, 9, 10, 11]),
         # a BIC row earlier in the table wins over a later MDL row ...
-        ({3: DegenerateFitError, 6: DegenerateFitError}, 3, 2),
+        ({3: DegenerateFitError, 6: DegenerateFitError}, 3, 2, [1, 2, 3, 4, 6]),
         # ... and an MDL row over a later BIC row, whatever its error type
-        ({4: InfeasibleModelError, 5: DegenerateFitError}, 4, 3),
-    ], ids=["mdl", "bic-first", "mdl-first"])
-    def test_error_of_the_earliest_failing_row_is_printed(self, csv_file, capsys,
+        ({4: InfeasibleModelError, 5: DegenerateFitError}, 4, 3, [1, 2, 3, 4, 5]),
+        # each group stops at its first row
+        ({1: InfeasibleModelError, 2: DegenerateFitError}, 1, 3, [1, 2]),
+        ({2: DegenerateFitError, 3: InfeasibleModelError}, 2, 2, [1, 2, 3]),
+    ], ids=["mdl", "bic-first", "mdl-first", "first-of-each", "mdl-first-row"])
+    def test_error_of_the_earliest_failing_row_is_printed(self, csv_file, capsys, tmp_path,
                                                           monkeypatch, mode, failing,
-                                                          printed, code):
+                                                          printed, code, started):
         parent = os.getpid()
         run_analysis = cli.run_analysis
+        log = tmp_path / "started.txt"
 
         def failing_rows(req):
             row = _COMPARE_ROWS.index((req.model, req.errors, req.penalty)) + 1
+            with open(log, "a", encoding="utf-8") as stream:  # both processes append
+                stream.write(f"{row}\n")
             forked = os.getpid() != parent
             if forked != (mode == "forked" and req.penalty == "mdl"):
                 raise AssertionError(f"row {row} ran in the wrong process")
@@ -704,11 +726,12 @@ class TestCliCompare:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"error: row {printed} failed\n"
+        assert sorted(int(row) for row in log.read_text(encoding="utf-8").split()) == started
         assert multiprocessing.active_children() == []
 
     def test_in_process_groups_draw_each_generation_once(self, csv_file, capsys,
                                                          monkeypatch):
-        # in-process, every row runs in one loop and one draw memo
+        # in-process, both row groups run in one draw memo
         monkeypatch.setattr(cli, "_fork_is_safe", lambda: False)
         drawn = []
         draw = search._draw

@@ -31,12 +31,30 @@ class TestSimSpec:
         with pytest.raises(DomainError):
             SimSpec(**kw)
 
+    @pytest.mark.parametrize("name, kw", [
+        ("sigma", dict(sigma=float("inf"))),
+        ("sigma", dict(sigma=float("nan"))),
+        ("mus", dict(taus=(4,), mus=(0.0, float("inf")))),
+        ("mus", dict(mus=(float("nan"),))),
+        ("betas", dict(betas=(float("-inf"),))),
+    ])
+    def test_rejects_non_finite_parameters(self, name, kw):
+        with pytest.raises(DomainError, match=f"^{name} must be finite"):
+            SimSpec(n=10, **kw)
+
     def test_config_round_trip(self):
         spec = SimSpec(n=30, taus=(10, 20), mus=(0.0, 1.0, 2.0))
         assert spec.config.taus == (10, 20)
 
 
 class TestSimulateSeries:
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("kw", [dict(mus=(1e308,), sigma=1e308),
+                                    dict(mus=(1e308,), betas=(1e308,))])
+    def test_overflow_raises_without_a_warning(self, kw):
+        with pytest.raises(DomainError, match="series values must be finite"):
+            simulate_series(SimSpec(n=5, **kw))
+
     def test_zero_noise_reproduces_piecewise_mean(self):
         spec = SimSpec(
             n=12,
