@@ -126,12 +126,21 @@ def _csv_rows(text: str) -> _Rows:
             year = int(record[0].strip())
             value = float(record[1].strip())
         except ValueError:
-            if lineno == 1:
+            # Only a first line whose year cell is no integer is a header.
+            if lineno == 1 and not _is_integer(record[0].strip()):
                 continue
             raise DataError(
                 f"line {lineno}: non-numeric cell in {record!r}"
             ) from None
         yield year, value, lineno
+
+
+def _is_integer(cell: str) -> bool:
+    try:
+        int(cell)
+    except ValueError:
+        return False
+    return True
 
 
 def load_series(path: str, fmt: str = "hadcet") -> TimeSeries:

@@ -63,7 +63,7 @@ from .core import (
     TimeSeries,
 )
 from .estimation import LOG_2PI
-from .fastscore import by_length, score_function, trend_rss_table
+from .fastscore import by_length, row_blocks, score_function, trend_rss_table
 from .penalties import penalty_parts, penalty_value
 
 __all__ = [
@@ -334,13 +334,22 @@ def exhaustive_optimize(
 
 def _least_penalized(rss: np.ndarray, min_len: int, betas: np.ndarray) -> np.ndarray:
     """For each ``beta``, the least ``RSS + beta m`` over all configurations
-    (optimal partitioning, Jackson et al. 2005)."""
+    (optimal partitioning, Jackson et al. 2005).
+
+    ``rss[e, s]`` must be +inf where ``e - s < min_len``.  The ends are
+    taken ``min_len`` at a time: for ends ``a..a+min_len-1`` every last
+    boundary ``s <= e - min_len`` is below ``a``, so its value is final,
+    and one add-and-min over the block's candidates gives each end the
+    minimum a one-end pass gives it; a candidate beyond an end's own is
+    inert, since its table entry is +inf."""
     n = rss.shape[0] - 1
     best = np.full((betas.size, n + 1), math.inf)
     best[:, 0] = -betas  # the first regime closes no changepoint
-    for e in range(min_len, n + 1):
-        best[:, e] = np.min(best[:, :e - min_len + 1] + rss[e, :e - min_len + 1], axis=1)
-        best[:, e] += betas
+    for a in range(min_len, n + 1, min_len):
+        b = min(a + min_len, n + 1)
+        last = b - min_len  # last boundaries 0..last-1, all below a
+        best[:, a:b] = np.min(best[:, None, :last] + rss[a:b, :last], axis=2)
+        best[:, a:b] += betas[:, None]
     return best[:, n]
 
 
@@ -348,7 +357,14 @@ class _Partitions:
     """Segment-neighbourhood DP (Auger and Lawrence 1989) over ``R + mu A``,
     where ``A = per_regime sum_k log len_k + per_boundary sum_{i>=2} log
     tau_i`` is the part of the penalty that is additive over regimes
-    (:func:`~cetseg.penalties.penalty_parts`)."""
+    (:func:`~cetseg.penalties.penalty_parts`).
+
+    The table is +inf where ``e - s < min_len``, so each layer reads it in
+    :func:`~cetseg.fastscore.row_blocks`: a run of ends reads only the
+    last boundaries its last end can use.  The columns it drops are +inf
+    in every row of the run, so each end's minimum and its first
+    attaining boundary, ``least`` and ``back``, are those of the full
+    rectangle."""
 
     def __init__(self, rss: np.ndarray, per_regime: float, per_boundary: float, min_len: int):
         self.rss, self.min_len = rss, min_len
@@ -360,13 +376,16 @@ class _Partitions:
         self.cost = None  # made at the first mu > 0
 
     def _cost(self, mu: float) -> np.ndarray:
-        """The table ``R + mu per_regime log len``, in one buffer for every ``mu > 0``."""
+        """The table ``R + mu per_regime log len``, in one buffer for every
+        ``mu > 0``; only its lower part changes with ``mu``."""
         if mu == 0.0:
             return self.rss
         if self.cost is None:
-            self.cost = np.empty_like(self.rss)
-        np.multiply(self.len_term, mu, out=self.cost)
-        self.cost += self.rss
+            self.cost = np.full_like(self.rss, math.inf)
+        for a, b in row_blocks(self.min_len, self.rss.shape[0]):
+            part = np.multiply(self.len_term[a:b, :b - self.min_len], mu,
+                               out=self.cost[a:b, :b - self.min_len])
+            part += self.rss[a:b, :b - self.min_len]
         return self.cost
 
     def layers(self, mu: float, depth: int) -> Iterator[tuple[np.ndarray, np.ndarray | None]]:
@@ -381,19 +400,21 @@ class _Partitions:
         least = cost[:, 0].copy()
         yield least, None
         for j in range(1, depth + 1):
-            # Ends from lo, last boundaries s in [first, n - min_len].
+            # Ends from lo, last boundaries s from first.
             first = min_len * j
             lo = first + min_len
             prev = least[first:n - min_len + 1]
             if j >= 2:
                 prev = prev + start[first:n - min_len + 1]
-            block = np.add(prev, cost[lo:, first:n - min_len + 1],
-                           out=self.block[:n + 1 - lo, :prev.size])
-            arg = block.argmin(axis=1)
             least = np.full(n + 1, math.inf)
-            least[lo:] = block[np.arange(arg.size), arg]
             back = np.zeros(n + 1, np.intp)
-            back[lo:] = arg + first
+            for a, b in row_blocks(lo, n + 1):
+                # Ends a..b-1 read last boundaries first..b-1-min_len.
+                block = np.add(prev[:b - lo], cost[a:b, first:b - min_len],
+                               out=self.block[:b - a, :b - lo])
+                arg = block.argmin(axis=1)
+                least[a:b] = block[np.arange(b - a), arg]
+                back[a:b] = arg + first
             yield least, back
 
     def taus(self, layers: list, m: int) -> tuple[int, ...]:

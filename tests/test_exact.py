@@ -8,7 +8,7 @@ import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import lean_ga
@@ -16,6 +16,7 @@ from conftest import lean_ga
 from cetseg import DegenerateFitError, DomainError, InfeasibleModelError, ModelSpec, TimeSeries
 from cetseg import search
 from cetseg.cli import main
+from cetseg.fastscore import by_length, row_blocks, trend_rss_table
 from cetseg.io import series_to_csv
 from cetseg.search import (
     GAParams,
@@ -219,3 +220,89 @@ def test_fit_honours_max_m(tmp_path, capsys):
         years[bool(cap)] = json.loads(capsys.readouterr().out)["changepoint_years"]
     assert len(years[False]) == 2
     assert len(years[True]) == 1
+
+
+# The solver's kernels read only the lower part of their tables, in row
+# blocks.  These references read the whole table, one end (least
+# penalized) or one full rectangle (layers) at a time, as the kernels did
+# before; the blocked kernels must give the same arrays bit for bit.
+
+def _one_end_at_a_time(rss, min_len, betas):
+    n = rss.shape[0] - 1
+    best = np.full((betas.size, n + 1), math.inf)
+    best[:, 0] = -betas
+    for e in range(min_len, n + 1):
+        best[:, e] = np.min(best[:, :e - min_len + 1] + rss[e, :e - min_len + 1], axis=1)
+        best[:, e] += betas
+    return best[:, n]
+
+
+def _full_rectangle_layers(rss, per_regime, per_boundary, min_len, mu, depth):
+    n = rss.shape[0] - 1
+    cost = rss
+    if mu:
+        cost = by_length(per_regime * np.log(np.maximum(np.arange(-n, n + 1.0), 1.0))) * mu
+        cost += rss
+    start = per_boundary * mu * np.log(np.maximum(np.arange(n + 1), 1))
+    least = cost[:, 0].copy()
+    layers = [(least, None)]
+    for j in range(1, depth + 1):
+        first = min_len * j
+        lo = first + min_len
+        prev = least[first:n - min_len + 1]
+        if j >= 2:
+            prev = prev + start[first:n - min_len + 1]
+        block = prev + cost[lo:, first:n - min_len + 1]
+        arg = block.argmin(axis=1)
+        least = np.full(n + 1, math.inf)
+        least[lo:] = block[np.arange(arg.size), arg]
+        back = np.zeros(n + 1, np.intp)
+        back[lo:] = arg + first
+        layers.append((least, back))
+    return layers
+
+
+@st.composite
+def kernel_tables(draw):
+    """``(rss, min_len)``: a trend-shift RSS table (min_len 2 or 3; at 1 a
+    one-point line is 0/0), or a random finite table of small integers, so
+    that ties are common, with +inf where ``e - s < min_len``."""
+    min_len = draw(st.integers(1, 3))
+    n = draw(st.integers(max(4, 2 * min_len), 60))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if min_len >= 2 and draw(st.booleans()):
+        return trend_rss_table(1e3 * rng.random() + rng.normal(size=n), min_len)[0], min_len
+    rss = rng.integers(0, 4, (n + 1, n + 1)).astype(float)
+    e, s = np.indices(rss.shape)
+    rss[e - s < min_len] = math.inf
+    return rss, min_len
+
+
+@given(kernel_tables())
+@example((trend_rss_table(np.arange(4.0) ** 2, 2)[0], 2))  # N = 2 min_len: one row
+@example((trend_rss_table(np.arange(6.0) ** 2, 3)[0], 3))
+@example((np.where(np.subtract.outer(np.arange(5), np.arange(5)) < 1, math.inf, 1.0), 1))
+@settings(max_examples=300, deadline=None)
+def test_blocked_kernels_match_the_full_table_bit_for_bit(case):
+    rss, min_len = case
+    n = rss.shape[0] - 1
+    betas = np.concatenate(([0.0], abs(rss[n, 0]) * 0.5 ** np.arange(1, 5)))
+    assert np.array_equal(search._least_penalized(rss, min_len, betas),
+                          _one_end_at_a_time(rss, min_len, betas))
+    depth = n // min_len - 1  # the deepest layers have fewer rows than blocks
+    partitions = search._Partitions(rss, 3.0, 2.0, min_len)
+    for mu in (0.0, 0.2, 0.0):  # 0.0 again: mu > 0 leaves the RSS table as it was
+        expected = _full_rectangle_layers(rss, 3.0, 2.0, min_len, mu, depth)
+        got = list(partitions.layers(mu, depth))
+        assert len(got) == len(expected) == depth + 1
+        for (least, back), (least_ref, back_ref) in zip(got, expected):
+            assert np.array_equal(least, least_ref)
+            assert (back is None and back_ref is None) or np.array_equal(back, back_ref)
+
+
+@pytest.mark.parametrize("lo, hi", [(3, 3), (3, 4), (3, 6), (3, 7), (6, 363), (0, 100)])
+def test_row_blocks_cover_the_rows_in_order(lo, hi):
+    blocks = row_blocks(lo, hi)
+    assert [row for a, b in blocks for row in range(a, b)] == list(range(lo, hi))
+    assert all(a < b for a, b in blocks)
+    assert len({b - a for a, b in blocks}) <= 2  # near-equal runs

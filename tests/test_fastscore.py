@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from cetseg import ChangepointConfiguration, DegenerateFitError, ModelSpec, TimeSeries, search
 from cetseg.core import Regimes
 from cetseg.estimation import LOG_2PI
-from cetseg.fastscore import joinpin_rss, score_function, trend_rss_table
+from cetseg.fastscore import _centred_sums, joinpin_rss, score_function, trend_rss_table
 from cetseg.joinpin import _neg2loglik, default_knot_penalty, fit_joinpin, joinpin_search
 from cetseg.penalties import penalty_function
 from cetseg.search import (
@@ -308,3 +308,40 @@ def test_rss_table_matches_the_trend_scorer_at_the_paper_length(penalty):
     series = _cet_like(1)
     configs = [(), (41, 80, 329), *_random_configs(series, 3, 200, 5)]
     assert _check_rss_table(series, configs, penalty) == len(configs)
+
+
+def _trend_terms(values, min_len):
+    """Every regime ``(s, e)`` with ``e - s >= min_len``, and its RSS term by
+    the operations ``trend_lines`` applies to a batch's flat regime arrays."""
+    n = values.size
+    _, _, sums, _ = _centred_sums(values)
+    e, s = np.nonzero(np.subtract.outer(np.arange(n + 1), np.arange(n + 1)) >= min_len)
+    sx, sxx, st, stx = sums[:, e] - sums[:, s]
+    k = e - s
+    stt = np.arange(n + 1.0)
+    stt = stt * (stt * stt - 1) / 12.0
+    stx = stx - st * sx / k
+    q = stx / stt[k]
+    return e, s, sxx - sx * sx / k - stx * q
+
+
+@given(n=st.integers(4, 80), offset=st.floats(0.0, 1e6), scale=st.floats(1e-3, 1e3),
+       seed=st.integers(0, 2**32 - 1), min_len=st.integers(2, 3))
+@settings(max_examples=200, deadline=None)
+def test_rss_table_is_every_regime_term_and_inf_elsewhere(n, offset, scale, seed, min_len):
+    values = offset + scale * np.random.default_rng(seed).standard_normal(n)
+    table, _ = trend_rss_table(values, min_len)
+    e, s, terms = _trend_terms(values, min_len)
+    assert np.array_equal(table[e, s], terms)
+    rest = np.ones(table.shape, bool)
+    rest[e, s] = False
+    assert np.all(table[rest] == math.inf)
+
+
+@pytest.mark.parametrize("seed", [1, 7])
+def test_rss_table_is_every_regime_term_at_the_paper_length(seed):
+    values = _cet_like(seed).values
+    table, _ = trend_rss_table(values, 3)
+    e, s, terms = _trend_terms(values, 3)
+    assert np.array_equal(table[e, s], terms)
+    assert np.isinf(table).sum() == table.size - terms.size

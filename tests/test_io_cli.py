@@ -158,6 +158,17 @@ class TestParseCsv:
         with pytest.raises(DataError, match="line 2"):
             parse_csv("2000,9.1\n2001,oops\n")
 
+    @pytest.mark.parametrize("first", ["1659,9.1x", "1659,"])
+    def test_malformed_first_data_row_is_an_error(self, first):
+        # a first line whose year is an integer is data, never a header
+        with pytest.raises(DataError, match="^line 1: "):
+            parse_csv(first + "\n1660,9.2\n1661,9.0\n")
+
+    @pytest.mark.parametrize("header", ["year,value", "\ufeffyear,value", "year,"])
+    def test_header_with_a_non_integer_year_cell_is_skipped(self, header):
+        series = parse_csv(header + "\n1659,9.1\n1660,9.2\n")
+        assert (series.first_year, series.n) == (1659, 2)
+
     def test_trailing_missing_value_dropped_with_warning(self):
         with pytest.warns(UserWarning, match="2002"):
             series = parse_csv("2000,9.1\n2001,9.3\n2002,-99.99\n")
@@ -203,6 +214,13 @@ class TestLoadSeries:
         p = tmp_path / "bad.bin"
         p.write_bytes(b"\xff\xfe1900,1.0\n")
         with pytest.raises(DataError, match="cannot read"):
+            load_series(str(p), fmt="csv")
+
+    @pytest.mark.parametrize("first", ["1659,9.1x", "\ufeff1659,"])
+    def test_malformed_first_data_row_is_an_error(self, tmp_path, first):
+        p = tmp_path / "bad.csv"
+        p.write_text(first + "\n1660,9.2\n1661,9.0\n", encoding="utf-8")
+        with pytest.raises(DataError, match="^line 1: "):
             load_series(str(p), fmt="csv")
 
 
@@ -473,6 +491,13 @@ class TestCliFit:
     def test_missing_input_exits_2(self, tmp_path, capsys):
         assert main(["fit", "--input", str(tmp_path / "nope.csv"),
                      "--format", "csv", "--model", "mean-shift"]) == 2
+
+    def test_malformed_first_data_row_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "bad.csv"
+        path.write_text("1659,9.1x\n1660,9.2\n1661,9.0\n", encoding="utf-8")
+        assert main(["fit", "--input", str(path), "--format", "csv",
+                     "--model", "mean-shift"]) == 2
+        assert capsys.readouterr().err.startswith("error: line 1: ")
 
     def test_undecodable_input_exits_2(self, tmp_path, capsys):
         path = tmp_path / "bad.bin"

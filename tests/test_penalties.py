@@ -1,9 +1,12 @@
 import math
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from cetseg import ChangepointConfiguration, DomainError, ModelSpec
-from cetseg.penalties import penalty_parts, penalty_value
+from cetseg.core import Regimes
+from cetseg.penalties import penalty_function, penalty_parts, penalty_value
 
 N = 362
 CFG3 = ChangepointConfiguration((41, 80, 329))
@@ -132,3 +135,22 @@ def test_parts_rebuild_the_penalty(model, errors, penalty, n):
                    + per_boundary * sum(math.log(tau) for tau in taus[1:]))
         expected = penalty_value(spec, n, config)
         assert math.isclose(rebuilt, expected, rel_tol=1e-12), (taus, rebuilt, expected)
+
+
+@st.composite
+def penalty_cases(draw):
+    model, errors = draw(st.sampled_from(PART_FAMILIES))
+    spec = ModelSpec(model, errors, draw(st.sampled_from(["bic", "mdl"])))
+    n = draw(st.integers(2, 400))
+    taus = draw(st.lists(st.integers(1, n - 1), unique=True, max_size=min(n - 1, 30)))
+    return spec, n, tuple(sorted(taus))
+
+
+@given(penalty_cases())
+@example((ModelSpec("trend-shift", "wn", "mdl"), 362, ()))
+@example((ModelSpec("variance-shift", "wn", "mdl"), 2, (1,)))
+@settings(max_examples=500, deadline=None)
+def test_penalty_value_is_the_batch_penalty_bit_for_bit(case):
+    spec, n, taus = case
+    [batch] = penalty_function(spec, n)(Regimes([taus], n))
+    assert penalty_value(spec, n, ChangepointConfiguration(taus)) == batch
