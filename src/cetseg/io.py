@@ -76,10 +76,12 @@ def _build_series(text: str, rows_of: Callable[[str], _Rows], what: str,
 def parse_hadcet(text: str) -> TimeSeries:
     """Parse the Met Office annual layout into a series of annual means.
 
-    Header lines (anything before the first row of 14 numeric fields
-    starting with a year) are skipped.  A missing annual mean is an
-    error unless it is the final row, which is dropped with a warning
-    as the in-progress year.
+    Header lines before the first row of 14 numeric fields starting with
+    a year are skipped, unless they start with a year followed by a
+    number or have 14 fields: such a line is a malformed data row, an
+    error naming its line, as is any malformed row after the first.  A
+    missing annual mean is an error unless it is the final row, which is
+    dropped with a warning as the in-progress year.
     """
     return _build_series(text, _hadcet_rows, "annual-layout", "annual mean",
                          "annual mean not yet available")
@@ -93,7 +95,10 @@ def _hadcet_rows(text: str) -> _Rows:
             continue
         parsed = _try_hadcet_row(tokens)
         if parsed is None:
-            if in_data:
+            # A year and 13 more fields, or a year and a number, is a data
+            # row; a header line such as "1659 onward" is neither.
+            if in_data or _parses(tokens[0]) and (
+                    len(tokens) == 14 or len(tokens) > 1 and _parses(tokens[1], float)):
                 raise DataError(f"line {lineno}: malformed row {line.strip()!r}")
             continue
         in_data = True
@@ -127,7 +132,7 @@ def _csv_rows(text: str) -> _Rows:
             value = float(record[1].strip())
         except ValueError:
             # Only a first line whose year cell is no integer is a header.
-            if lineno == 1 and not _is_integer(record[0].strip()):
+            if lineno == 1 and not _parses(record[0].strip()):
                 continue
             raise DataError(
                 f"line {lineno}: non-numeric cell in {record!r}"
@@ -135,9 +140,9 @@ def _csv_rows(text: str) -> _Rows:
         yield year, value, lineno
 
 
-def _is_integer(cell: str) -> bool:
+def _parses(cell: str, kind: type = int) -> bool:
     try:
-        int(cell)
+        kind(cell)
     except ValueError:
         return False
     return True

@@ -165,11 +165,17 @@ def joinpin_search(
     Raises
     ------
     DomainError
-        If ``sigma2_fixed`` is not finite and positive.
+        If ``sigma2_fixed`` is not finite and positive, or so small that
+        ``sum (x - mean)^2 / sigma2_fixed``, which bounds every knot
+        configuration's ``RSS / sigma2_fixed``, overflows.
     cetseg.search.RefitMismatchError
         If the winner's fit disagrees with its search score.
     """
     check_variance(sigma2_fixed)
+    centred = series.values - series.values.mean()
+    if math.isinf(float(np.dot(centred, centred)) / sigma2_fixed):
+        raise DomainError(f"sigma2_fixed {sigma2_fixed!r} is too small for this series: "
+                          "RSS / sigma2 overflows")
     n = series.n
     kp = default_knot_penalty(n)
     fast_rss = joinpin_rss(series.values)

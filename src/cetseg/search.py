@@ -7,16 +7,17 @@ configurations in batches with an O(m) fast score, for the families
 here the one :mod:`cetseg.fastscore` builds per search from prefix sums:
 the GA one batch per generation (the configurations it has not scored
 yet), exhaustive enumeration fixed-size chunks, the DP the winners of
-each pass.  No score rule is written here: :mod:`cetseg.penalties` owns
-the penalties and :mod:`cetseg.fastscore` the fast scores, and the DP
-reads its penalty parts and its per-regime RSS table from them.  One
-rule, shared with joinpin through :func:`ga_search`, trusts those
-scores: a configuration the fast score leaves undecided
-(NaN) is scored by the reference fit, here :func:`evaluate`, and the
-winner's reference refit is the reported result, which must match its
-search score within ``REFIT_RTOL``.  A configuration's score does not
-depend on the batch it is scored in.  The cache holds one sort key per
-configuration, not a fit.
+each pass, which a Lagrangian bound per changepoint count stops near
+the answer under BIC and MDL alike.  No score rule is written here:
+:mod:`cetseg.penalties` owns the penalties and :mod:`cetseg.fastscore`
+the fast scores, and the DP reads its penalty parts and its per-regime
+RSS table from them.  One rule, shared with joinpin through
+:func:`ga_search`, trusts those scores: a configuration the fast score
+leaves undecided (NaN) is scored by the reference fit, here
+:func:`evaluate`, and the winner's reference refit is the reported
+result, which must match its search score within ``REFIT_RTOL``.  A
+configuration's score does not depend on the batch it is scored in.
+The cache holds one sort key per configuration, not a fit.
 
 The genetic algorithm is deterministic for a given seed.  Each
 generation draws from one stream keyed by ``(seed, generation)``, as
@@ -39,7 +40,6 @@ changepoints, then lexicographically smaller boundary indices.
 from __future__ import annotations
 
 import math
-import sys
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass
@@ -388,6 +388,19 @@ class _Partitions:
             part += self.rss[a:b, :b - self.min_len]
         return self.cost
 
+    def lagrangian(self, mu: float, betas: np.ndarray, depth: int) -> np.ndarray:
+        """For ``j = 0..depth``, a lower bound on the least ``R + mu A`` at
+        ``j`` changepoints (``mu > 0``): the largest ``OP(beta) - beta j``
+        over ``betas``, for optimal partitioning over :meth:`_cost`'s
+        buffer plus every boundary's ``mu per_boundary log tau``, less the
+        most the first boundary, which ``A`` does not charge, can add."""
+        n, min_len = self.rss.shape[0] - 1, self.min_len
+        cost, charge = self._cost(mu), mu * self.per_boundary
+        for a, b in row_blocks(min_len, n + 1):
+            cost[a:b, :b - min_len] += charge * self.log[:b - min_len]
+        dual = _least_penalized(cost, min_len, betas)[:, None] - np.outer(betas, range(depth + 1))
+        return np.max(dual, axis=0) - charge * self.log[n - min_len]
+
     def layers(self, mu: float, depth: int) -> Iterator[tuple[np.ndarray, np.ndarray | None]]:
         """The DP's layers at ``mu`` for ``j = 0..depth`` changepoints, in
         order: each ``(least, back)``, where ``least[e]`` is the least total
@@ -451,6 +464,30 @@ _EXACT = (MeanStructure.TREND_SHIFT, ErrorModel.WHITE_NOISE)
 # DP's rounding is about 1e-10 of a score or less.
 _EXACT_MARGIN = 1e-9
 
+# Per-changepoint multipliers, in units of R[N, 0] / N, of the Lagrangian
+# bound on R + mu A that caps the counts under MDL; the negative ones
+# favour many changepoints, so they bound the larger counts.
+_MDL_BETAS = np.array([0.0, -0.125, -0.25, -0.5, -1.0, 0.25])
+
+
+def _chord_mu(n: int, low, high):
+    """``1 / (N slope)`` of the chord of ``log`` over ``[low, high]``
+    (its tangent where ``high == low``), element-wise."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        slope = np.where(high > low, np.log1p((high - low) / low) / (high - low), 1.0 / low)
+    return 1.0 / (n * slope)
+
+
+def _score_bounds(n: int, offset, least_a, low, high, mu: float, dual) -> np.ndarray:
+    """At each count, a lower bound on the score ``offset + N log R + A``
+    where ``R`` lies in ``[low, high]`` (+inf if empty), ``A >= least_a``
+    and ``R + mu A >= dual``.  There ``N log R >= N log low + (R - low)
+    / mu'`` for each ``mu'`` at least the chord's, and ``R + mu' A >=
+    dual + (mu' - mu) least_a`` for ``mu' >= mu``."""
+    mus = np.maximum(_chord_mu(n, low, high), mu)
+    bound = offset + n * np.log(low) + (dual + (mus - mu) * least_a - low) / mus
+    return np.where(high >= low, bound, math.inf)
+
 
 def exact_optimize(
     series: TimeSeries, model: ModelSpec, max_m: int | None = None
@@ -477,7 +514,11 @@ def exact_optimize(
     round runs one DP, at the least ``mu`` any interval asks for.  An
     interval whose bound is within a relative ``1e-9`` of the best score
     is dropped; that round's winner splits the interval that set ``mu``
-    in two, as CROPS does (Haynes, Eckley and Fearnhead 2017).  Every DP
+    in two, as CROPS does (Haynes, Eckley and Fearnhead 2017).  MDL's
+    counts are capped as BIC's: once a least-RSS layer fails to improve
+    the best score, the Lagrangian dual of ``R + mu A`` at the next
+    count's chord ``mu`` bounds every count's score, which stops those
+    layers and drops counts before the first round.  Every DP
     winner is rescored by the batch scorer; ties go to fewer
     changepoints, then smaller boundaries, and the winner's reference
     refit is ``best``.
@@ -531,13 +572,18 @@ def exact_optimize(
     least_a = per_regime * (m * math.log(min_len) + np.log(n - min_len * m))
     later = np.where(m >= 2, math.log(min_len) + np.log(np.maximum(m, 1)), 0.0)
     least_a += per_boundary * np.cumsum(later)
-    # A lower bound on every score at m or more changepoints, rising in m.
-    rising = base + n * np.log(least_rss)
-    rising += by_count[:top + 1] + least_a
-    rising = np.minimum.accumulate(rising[::-1])[::-1]
+    offset = base + by_count[:top + 1]
+    # A lower bound on each count's score, and on every score at m or more
+    # changepoints, rising in m.
+    floor_score = base + n * np.log(least_rss) + by_count[:top + 1] + least_a
+    rising = np.minimum.accumulate(floor_score[::-1])[::-1]
 
     def margin(score: float) -> float:
         return _EXACT_MARGIN * max(abs(score), n)
+
+    def highest(incumbent: float) -> np.ndarray:
+        """The largest RSS at each count whose score can beat ``incumbent``."""
+        return np.exp(np.minimum((incumbent - offset - least_a) / n, 709.0))
 
     # The least RSS at each m (mu = 0), up to where the rising bound
     # reaches the best of their scores.
@@ -545,41 +591,51 @@ def exact_optimize(
     layers = []
     winners = []
     incumbent = math.inf
+    dual = None
+    low = least_rss.copy()  # the least RSS at each m, where layers hold it
     for j, layer in enumerate(partitions.layers(0.0, top)):
         layers.append(layer)
+        low[j] = layer[0][n]
         winners.append(partitions.taus(layers, j))
-        incumbent = min(incumbent, base + n * math.log(layer[0][n]) + by_count[j]
-                        + partitions.totals(winners[j])[1])
-        if j == top or rising[j + 1] >= incumbent - margin(incumbent):
+        score = base + n * math.log(low[j]) + by_count[j] + partitions.totals(winners[j])[1]
+        stalled, incumbent = score >= incumbent, min(incumbent, score)
+        if j == top:
+            break
+        if dual is None and stalled and (per_regime or per_boundary):
+            priced = float(_chord_mu(n, low[j + 1], highest(incumbent)[j + 1]))
+            dual = partitions.lagrangian(priced, _MDL_BETAS * (rss[n, 0] / n), top)
+        if dual is not None:
+            bound = _score_bounds(n, offset, least_a, low, highest(incumbent), priced, dual)
+            rising = np.minimum.accumulate(np.maximum(floor_score, bound)[::-1])[::-1]
+        if rising[j + 1] >= incumbent - margin(incumbent):
             break
     incumbent = consider(winners)
 
     # (m, low, high) intervals of RSS that may still beat the best; where
     # A is 0 (BIC), the least RSS at m is that count's answer.
-    intervals = [(j, float(layers[j][0][n]), math.inf) for j in range(1, len(layers))
-                 if per_regime or per_boundary]
+    counts = np.arange(1, len(layers)) if per_regime or per_boundary else []
+    if dual is not None:
+        bound = _score_bounds(n, offset, least_a, low, highest(incumbent), priced, dual)
+        counts = counts[bound[counts] < incumbent - margin(incumbent)]
+    intervals = [(j, low[j], math.inf) for j in counts]
     while intervals:
-        chords = []
-        for j, a, b in intervals:
-            log_b = (incumbent - base - by_count[j] - least_a[j]) / n
-            b = min(b, math.exp(log_b) if log_b < 709.0 else sys.float_info.max)
-            if b >= a:
-                slope = math.log1p((b - a) / a) / (b - a) if b > a else 1.0 / a
-                chords.append((1.0 / (n * slope), j, a, b))
-        if not chords:
+        js, lows, highs = map(np.array, zip(*intervals))
+        highs = np.minimum(highs, highest(incumbent)[js])
+        mus = _chord_mu(n, lows, highs)
+        order = np.lexsort((js, mus))  # by mu, then by m
+        chords = order[highs[order] >= lows[order]]
+        if not chords.size:
             break
-        chords.sort()
-        mu = chords[0][0]
-        layers = list(partitions.layers(mu, max(j for _, j, _, _ in chords)))
-        found = {j: partitions.taus(layers, j) for _, j, _, _ in chords}
+        js, lows, highs, mu = js[chords], lows[chords], highs[chords], mus[chords[0]]
+        layers = list(partitions.layers(mu, js.max()))
+        found = {j: partitions.taus(layers, j) for j in js}
         fresh = {j for j, taus in found.items() if taus not in scored}
         incumbent = consider(found.values())
+        bounds = _score_bounds(n, offset[js], least_a[js], lows, highs, mu,
+                               np.array([layers[j][0][n] for j in js]))
         intervals = []
-        for i, (mu_j, j, a, b) in enumerate(chords):
-            # R + mu_j A >= (R + mu A) + (mu_j - mu) min A, for mu <= mu_j.
-            value = float(layers[j][0][n]) + (mu_j - mu) * least_a[j]
-            if base + n * math.log(a) + by_count[j] + (value - a) / mu_j \
-                    >= incumbent - margin(incumbent):
+        for i, (j, a, b, bound) in enumerate(zip(js, lows, highs, bounds)):
+            if bound >= incumbent - margin(incumbent):
                 continue
             if i:
                 intervals.append((j, a, b))

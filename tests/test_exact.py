@@ -8,7 +8,7 @@ import sys
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import lean_ga
@@ -16,8 +16,10 @@ from conftest import lean_ga
 from cetseg import DegenerateFitError, DomainError, InfeasibleModelError, ModelSpec, TimeSeries
 from cetseg import search
 from cetseg.cli import main
+from cetseg.estimation import LOG_2PI
 from cetseg.fastscore import by_length, row_blocks, trend_rss_table
 from cetseg.io import series_to_csv
+from cetseg.penalties import penalty_parts
 from cetseg.search import (
     GAParams,
     UncertifiedError,
@@ -306,3 +308,86 @@ def test_row_blocks_cover_the_rows_in_order(lo, hi):
     assert [row for a, b in blocks for row in range(a, b)] == list(range(lo, hi))
     assert all(a < b for a, b in blocks)
     assert len({b - a for a, b in blocks}) <= 2  # near-equal runs
+
+
+# Under MDL the counts are capped by a Lagrangian bound on R + mu A per
+# count; it must never exceed what the DP finds at that count.
+
+@given(kernel_tables(), st.floats(0.01, 2.0),
+       st.lists(st.floats(-3.0, 3.0), min_size=1, max_size=6))
+@settings(max_examples=300, deadline=None)
+def test_lagrangian_bounds_the_least_cost_at_each_count(case, mu, betas):
+    rss, min_len = case
+    n = rss.shape[0] - 1
+    depth = n // min_len - 1
+    partitions = search._Partitions(rss, 3.0, 2.0, min_len)
+    bound = partitions.lagrangian(mu, np.array(betas), depth)
+    # the pass adds the boundary terms in the shared buffer; the layers at
+    # mu rebuild it, so they are the full table's bit for bit
+    layers = list(partitions.layers(mu, depth))
+    expected = _full_rectangle_layers(rss, 3.0, 2.0, min_len, mu, depth)
+    for j, ((least, _), (least_ref, _)) in enumerate(zip(layers, expected)):
+        assert np.array_equal(least, least_ref)
+        assert bound[j] <= least[n] + 1e-9 * max(1.0, abs(least[n]))
+
+
+@given(series=short_series(), slack=st.floats(1e-6, 50.0), stretch=st.floats(0.25, 4.0))
+@settings(max_examples=200, deadline=None)
+def test_score_bounds_hold_at_every_count(series, slack, stretch):
+    n, model = series.n, ModelSpec("trend-shift", "wn", "mdl")
+    min_len = search.min_segment_length(model)
+    rss, floor = trend_rss_table(series.values, min_len)
+    by_count, per_regime, per_boundary = penalty_parts(model, n)
+    partitions = search._Partitions(rss, per_regime, per_boundary, min_len)
+    top = n // min_len - 1
+    totals = {}  # (R, A) of every configuration, by count
+    for taus in search._enumerate_configs(n, min_len, top):
+        totals.setdefault(len(taus), []).append(partitions.totals(taus))
+    counts = np.arange(top + 1)
+    low = np.array([min(r for r, _ in totals[j]) for j in counts])
+    assume(low.min() > floor)
+    least_a = np.array([min(a for _, a in totals[j]) for j in counts])
+    offset = n * (1.0 + LOG_2PI - math.log(n)) + by_count[counts]
+    least = offset + [min(n * math.log(r) + a for r, a in totals[j]) for j in counts]
+    # the RSS at which each count's score reaches an incumbent above its least
+    high = np.exp((least + slack - offset - least_a) / n)
+    mu = stretch * float(search._chord_mu(n, low[1], high[1]))  # both sides of the chords
+    dual = partitions.lagrangian(mu, search._MDL_BETAS * (rss[n, 0] / n), top)
+    bound = search._score_bounds(n, offset, least_a, low, high, mu, dual)
+    assert np.all(bound <= least + 1e-9 * np.maximum(np.abs(least), n))
+
+
+# The MDL answers on fixture seeds 1-10: (seed, taus, repr(score)).  These
+# solves yielded 41-71 DP layers before the Lagrangian cap, BIC's 3.
+MDL_ANSWERS = (
+    (1, (79, 329), "560.153163161482"),
+    (2, (79, 329), "649.0133119014511"),
+    (3, (79, 329), "605.4381120133794"),
+    (4, (80, 329), "626.0966151598731"),
+    (5, (80, 329), "613.2290558585042"),
+    (6, (12, 80, 329), "655.3549702775902"),
+    (7, (80, 329), "579.8619190940244"),
+    (8, (80, 329), "641.829319816579"),
+    (9, (82, 329), "629.4835320896523"),
+    (10, (80, 329), "628.8547520929257"),
+)
+
+
+@pytest.mark.parametrize("seed, taus, score", MDL_ANSWERS)
+def test_mdl_solves_stop_near_the_answer(seed, taus, score, monkeypatch):
+    yielded = []
+    layers = search._Partitions.layers
+
+    def counted(self, mu, depth):
+        for layer in layers(self, mu, depth):
+            yielded.append(mu)
+            yield layer
+
+    monkeypatch.setattr(search._Partitions, "layers", counted)
+    series = fixture(seed)
+    best = exact_optimize(series, ModelSpec("trend-shift", "wn", "mdl")).best
+    assert (best.config.taus, repr(best.score)) == (taus, score)
+    assert len(yielded) <= 30
+    yielded.clear()
+    exact_optimize(series, ModelSpec("trend-shift", "wn", "bic"))
+    assert len(yielded) == 3  # layers 0-2, as before the cap

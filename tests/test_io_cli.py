@@ -3,6 +3,7 @@ import math
 import multiprocessing
 import os
 import sys
+import warnings
 from importlib.resources import files
 
 import jsonschema
@@ -128,6 +129,18 @@ class TestParseHadcet:
     def test_empty_input_is_an_error(self):
         with pytest.raises(DataError, match="no data rows"):
             parse_hadcet("just a header\n")
+
+    @pytest.mark.parametrize("first", [
+        _hadcet_row(1659, 9.1) + "x",  # a non-numeric annual mean
+        _hadcet_row(1659, 9.1).rsplit(" ", 1)[0],  # 13 fields
+    ], ids=["bad-cell", "13-fields"])
+    def test_malformed_first_data_row_names_its_line(self, first):
+        # it used to be skipped as a header, so the series began in 1660
+        text = "Monthly and annual mean temperatures\n" + first + "\n" \
+            + _hadcet_text([(1660, 9.2), (1661, 9.0)], header=False)
+        with pytest.raises(DataError) as err:
+            parse_hadcet(text)
+        assert str(err.value) == f"line 2: malformed row {first.strip()!r}"
 
 
 class TestParseCsv:
@@ -499,6 +512,14 @@ class TestCliFit:
                      "--model", "mean-shift"]) == 2
         assert capsys.readouterr().err.startswith("error: line 1: ")
 
+    def test_malformed_first_hadcet_row_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "bad.dat"
+        path.write_text(_hadcet_row(1659, 9.1) + "x\n"
+                        + _hadcet_text([(1660, 9.2), (1661, 9.0)], header=False),
+                        encoding="utf-8")
+        assert main(["fit", "--input", str(path), "--model", "mean-shift"]) == 2
+        assert capsys.readouterr().err.startswith("error: line 1: malformed row ")
+
     def test_undecodable_input_exits_2(self, tmp_path, capsys):
         path = tmp_path / "bad.bin"
         path.write_bytes(b"\xff\xfe1900,1.0\n")
@@ -524,6 +545,20 @@ class TestCliFit:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "sigma2_fixed must be finite and positive" in captured.err
+
+    @pytest.mark.parametrize("command", ["fit", "compare"])
+    def test_joinpin_sigma2_too_small_for_the_series_exits_3(self, csv_file, capsys,
+                                                              command):
+        # RSS / 1e-320 overflowed, and the search reported an exact fit
+        argv = [command, "--input", csv_file, "--format", "csv", *FAST, "--sigma2", "1e-320"]
+        if command == "fit":
+            argv += ["--model", "joinpin"]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(argv) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "sigma2_fixed 1e-320 is too small for this series" in captured.err
 
     @pytest.mark.parametrize("command", ["fit", "residuals"])
     @pytest.mark.parametrize("sigma2, message", [

@@ -1,5 +1,7 @@
 import itertools
 import math
+import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -214,6 +216,17 @@ class TestJoinpinSearch:
         for sigma2 in (0.0, -1.0, math.inf, math.nan):
             with pytest.raises(DomainError, match="finite and positive"):
                 joinpin_search(series, sigma2_fixed=sigma2, params=lean_ga())
+
+    def test_rejects_a_variance_the_rss_overflows(self):
+        series = _series(44, 20)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match="1e-320 is too small for this series"):
+                joinpin_search(series, sigma2_fixed=1e-320, params=lean_ga())
+        # the least variance that does not overflow is searched as before
+        centred = series.values - series.values.mean()
+        tiny = float(np.dot(centred, centred)) / sys.float_info.max
+        assert joinpin_search(series, sigma2_fixed=2 * tiny, params=lean_ga()).best.config.m >= 0
 
 
 @pytest.mark.parametrize("seed, taus, score", [
