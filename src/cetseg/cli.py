@@ -208,6 +208,17 @@ def _load(args: argparse.Namespace) -> TimeSeries:
     return series
 
 
+def _stage(series: TimeSeries, model: ModelSpec, req: AnalysisRequest, purpose: str,
+           hint: str = "") -> FitResult:
+    """The best fit of a search that an analysis runs before its own; an
+    :class:`InfeasibleModelError` it raises is raised again naming the
+    stage, since its need is not the requested family's."""
+    try:
+        return solve(series, model, req.ga_params, max_m=req.max_m).best
+    except InfeasibleModelError as err:
+        raise InfeasibleModelError(f"the {model.label()} stage {purpose}: {err}{hint}") from err
+
+
 def run_analysis(req: AnalysisRequest) -> tuple[dict[str, Any], FitResult, np.ndarray]:
     """Fit one model per the request; returns the JSON-shaped result, the fit
     and its fitted values.
@@ -233,12 +244,12 @@ def run_analysis(req: AnalysisRequest) -> tuple[dict[str, Any], FitResult, np.nd
     elif model == "joinpin":
         sigma2 = req.sigma2
         if sigma2 is None:
-            stage = solve(series, ModelSpec(*_SIGMA2_ROW), params, max_m=req.max_m)
-            sigma2 = stage.best.sigma2_hat
+            sigma2 = _stage(series, ModelSpec(*_SIGMA2_ROW), req, "that estimates joinpin's "
+                            "sigma2", "; --sigma2 skips this stage").sigma2_hat
         fit = joinpin_search(series, sigma2, max_m=req.max_m, params=params).best
     elif model == "variance-shift":
-        trend = solve(series, ModelSpec("trend-shift", "wn", req.penalty), params,
-                      max_m=req.max_m).best
+        trend = _stage(series, ModelSpec("trend-shift", "wn", req.penalty), req,
+                       "that fixes variance-shift's mean")
         fitted = fitted_mean(trend.config, trend.means, trend.slopes, series.n)
         try:
             residual_series = TimeSeries(series.first_year, series.values - fitted)

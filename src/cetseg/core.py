@@ -207,27 +207,41 @@ class Regimes:
     indices ``starts + 1 .. ends``, ``lengths`` observations.  ``m``
     counts each row's changepoints, ``first`` and ``last`` index its
     first and last regime, and ``width`` is the most regimes in a row.
-    Boundary tuples are not validated.
+    Boundaries are not validated.
     """
 
     def __init__(self, configs: Sequence[tuple[int, ...]], n: int):
-        size = len(configs)
-        self.m = np.fromiter(map(len, configs), np.intp, size)
-        counts = self.m + 1
+        m = np.fromiter(map(len, configs), np.intp, len(configs))
+        self._lay_out(m, np.fromiter(chain.from_iterable(configs), np.intp, int(m.sum())), n)
+
+    @classmethod
+    def from_flat(cls, m: np.ndarray, taus: np.ndarray, n: int) -> "Regimes":
+        """The batch whose row ``i`` has the next ``m[i]`` boundaries of the
+        flat array ``taus``, rows in order."""
+        regimes = cls.__new__(cls)
+        regimes._lay_out(m, taus, n)
+        return regimes
+
+    def _lay_out(self, m: np.ndarray, taus: np.ndarray, n: int) -> None:
+        self.m = m
+        counts = m + 1
         self.last = np.cumsum(counts) - 1
-        self.first = self.last - self.m
-        self.row = np.repeat(np.arange(size), counts)
+        self.first = self.last - m
+        self.row = np.repeat(np.arange(m.size), counts)
         self.col = np.arange(self.row.size) - self.first[self.row]
         self.width = int(counts.max())
         self.ends = np.full(self.row.size, n)
         closed = np.ones(self.row.size, bool)
         closed[self.last] = False
-        self.ends[closed] = np.fromiter(chain.from_iterable(configs), np.intp,
-                                        self.row.size - size)
+        self.ends[closed] = taus
         self.starts = np.empty_like(self.ends)
         self.starts[1:] = self.ends[:-1]
         self.starts[self.first] = 0
         self.lengths = self.ends - self.starts
+
+    def taus(self, row: int) -> tuple[int, ...]:
+        """The boundary tuple of row ``row``."""
+        return tuple(self.ends[self.first[row]:self.last[row]].tolist())
 
     def row_sums(self, *terms: np.ndarray) -> np.ndarray:
         """Per-row sums of per-regime ``terms``, added one at a time in

@@ -33,12 +33,12 @@ array.  ``C`` sums, per regime, adjacent-pair sums of ``x_t x_{t+1}``,
 ``x_t + x_{t+1}`` and ``x_t (t+1) + x_{t+1} t``; the pair straddling
 each boundary is computed on its own.
 
-A scorer takes a batch of boundary tuples and returns one value per
-tuple: the score :func:`cetseg.search.evaluate` gives that
-configuration, up to rounding, or NaN where rounding could show.  The
-caller then scores that configuration with the reference fit.  The
-batch is laid out as flat per-regime arrays (:class:`cetseg.core.Regimes`)
-and each configuration's sums are running totals in regime order, with
+A scorer takes a batch of configurations, laid out as flat per-regime
+arrays (:class:`cetseg.core.Regimes`), and returns one value per
+configuration: the score :func:`cetseg.search.evaluate` gives it, up to
+rounding, or NaN where rounding could show.  The caller then scores
+that configuration with the reference fit.  Each configuration's sums
+are running totals in regime order, with
 logs of non-integers taken by ``math.log``, so a score is bit for bit
 the one the same configuration gets alone or in any other batch.  The
 mean-structure scores depend on the regimes only through their total
@@ -57,7 +57,7 @@ Scorers do not validate configurations.
 from __future__ import annotations
 
 import math
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -68,9 +68,9 @@ from .penalties import penalty_function
 
 __all__ = ["score_function", "trend_rss_table", "by_length", "row_blocks", "joinpin_rss"]
 
-# A batch of boundary tuples -> one value each, NaN where the reference
+# A batch of configurations -> one value each, NaN where the reference
 # fit must decide.
-Scorer = Callable[[Sequence[tuple[int, ...]]], np.ndarray]
+Scorer = Callable[[Regimes], np.ndarray]
 
 # A residual sum of squares below this fraction of the sum of squares it
 # is taken from is left to the reference fit.  The fast score's relative
@@ -98,8 +98,8 @@ def _log(values: np.ndarray, valid: np.ndarray) -> np.ndarray:
 
 
 def score_function(series: TimeSeries, model: ModelSpec) -> Scorer:
-    """Fast scorer of ``model`` on ``series``: a batch of boundary tuples ->
-    their scores, NaN where the reference fit must score."""
+    """Fast scorer of ``model`` on ``series``: a :class:`~cetseg.core.Regimes`
+    batch -> its scores, NaN where the reference fit must score."""
     penalty = penalty_function(model, series.n)
     if model.mean_structure is MeanStructure.VARIANCE_SHIFT:
         return _variance_scorer(series.values, penalty)
@@ -124,8 +124,7 @@ def _variance_scorer(values: np.ndarray, penalty) -> Scorer:
     squares = _cumsum(values * values)
     base = n * (1.0 + LOG_2PI)
 
-    def score(configs: Sequence[tuple[int, ...]]) -> np.ndarray:
-        regimes = Regimes(configs, n)
+    def score(regimes: Regimes) -> np.ndarray:
         a, b, k = regimes.starts, regimes.ends, regimes.lengths
         ss = squares[b] - squares[a]
         kept = ss > CANCELLATION * squares[b]
@@ -199,8 +198,7 @@ def _mean_scorer(values: np.ndarray, model: ModelSpec, penalty) -> Scorer:
         straddling[regimes.first] = 0.0
         return regimes.row_sums(inside, straddling), closing[regimes.last]
 
-    def score(configs: Sequence[tuple[int, ...]]) -> np.ndarray:
-        regimes = Regimes(configs, n)
+    def score(regimes: Regimes) -> np.ndarray:
         rss, p, q = lines(regimes, *(sums[:, regimes.ends] - sums[:, regimes.starts]))
         kept = rss > floor
         if ar1:
@@ -278,8 +276,8 @@ def trend_rss_table(values: np.ndarray, min_len: int) -> tuple[np.ndarray, float
 
 def joinpin_rss(values: np.ndarray) -> Scorer:
     """Fast residual sum of squares of the continuous piecewise-linear fit:
-    a batch of knot tuples -> their RSS, NaN where the least squares must
-    decide.
+    a :class:`~cetseg.core.Regimes` batch of knot configurations -> their
+    RSS, NaN where the least squares must decide.
 
     Hat functions on the nodes ``1, tau_1, ..., tau_m, N`` span the hinge
     basis of :func:`cetseg.joinpin.fit_joinpin`, and their Gram matrix
@@ -301,8 +299,7 @@ def joinpin_rss(values: np.ndarray) -> Scorer:
     cross = np.concatenate(([0.0], (h * h - 1) / (6.0 * h)))
     right = np.concatenate(([0.0], (h + 1) * (2 * h + 1) / (6.0 * h)))
 
-    def rss(configs: Sequence[tuple[int, ...]]) -> np.ndarray:
-        regimes = Regimes(configs, n)
+    def rss(regimes: Regimes) -> np.ndarray:
         b = regimes.ends
         u = np.maximum(regimes.starts, 1)  # the first interval starts at node t = 1
         span = b - u

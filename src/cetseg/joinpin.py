@@ -28,6 +28,7 @@ from .core import (
     FitResult,
     MeanStructure,
     ModelSpec,
+    Regimes,
     TimeSeries,
 )
 from .estimation import LOG_2PI
@@ -180,9 +181,8 @@ def joinpin_search(
     kp = default_knot_penalty(n)
     fast_rss = joinpin_rss(series.values)
 
-    def fast(configs: list[tuple[int, ...]]) -> np.ndarray:
-        m = np.fromiter(map(len, configs), np.intp, len(configs))
-        return _neg2loglik(fast_rss(configs), n, sigma2_fixed) + kp * m
+    def fast(regimes: Regimes) -> np.ndarray:
+        return _neg2loglik(fast_rss(regimes), n, sigma2_fixed) + kp * regimes.m
 
     def reference(taus: tuple[int, ...]) -> JoinpinFit:
         return fit_joinpin(series, ChangepointConfiguration(taus), sigma2_fixed)

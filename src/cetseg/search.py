@@ -17,7 +17,15 @@ leaves undecided (NaN) is scored by the reference fit, here
 :func:`evaluate`, and the winner's reference refit is the reported
 result, which must match its search score within ``REFIT_RTOL``.  A
 configuration's score does not depend on the batch it is scored in.
-The cache holds one sort key per configuration, not a fit.
+Scorers take a :class:`~cetseg.core.Regimes` batch; a boundary tuple is
+made only for a reference fit and for a winner.  The cache holds one
+sort key per configuration, not a fit.
+
+The GA keeps each generation as a bool matrix of inclusion bits, one
+row per individual, best first; children are repaired in place, and
+its cache is keyed by the bytes of each row's complemented bits,
+packed, whose order at equal changepoint counts is the order of the
+boundary tuples.
 
 The genetic algorithm is deterministic for a given seed.  Each
 generation draws from one stream keyed by ``(seed, generation)``, as
@@ -60,6 +68,7 @@ from .core import (
     InfeasibleModelError,
     MeanStructure,
     ModelSpec,
+    Regimes,
     TimeSeries,
 )
 from .estimation import LOG_2PI
@@ -221,22 +230,23 @@ class GARun:
     evaluations_count: int
 
 
-# A batch of distinct boundary tuples -> one score each (NaN: undecided).
-Fitness = Callable[[list[tuple[int, ...]]], Sequence[float]]
+# A batch of distinct configurations -> one score each (NaN: undecided).
+Fitness = Callable[[Regimes], Sequence[float]]
 # One feasible boundary tuple -> its reference fit.
 Reference = Callable[[tuple[int, ...]], FitResult]
 
 
 def _fallback(fast: Fitness, reference: Reference) -> Fitness:
-    """``fast``'s scores of a batch, each NaN replaced by its tuple's
-    ``reference`` score, or +inf where that fit is degenerate.  Every
-    score is the one its tuple gets alone, whatever else is in the batch."""
+    """``fast``'s scores of a batch, each NaN replaced by the ``reference``
+    score of that row's boundary tuple, or +inf where that fit is
+    degenerate; only those rows are made tuples.  Every score is the one
+    its configuration gets alone, whatever else is in the batch."""
 
-    def fitness(configs: list[tuple[int, ...]]) -> list[float]:
-        scores = fast(configs)
+    def fitness(regimes: Regimes) -> list[float]:
+        scores = fast(regimes)
         for i in np.flatnonzero(np.isnan(scores)).tolist():
             try:
-                scores[i] = reference(configs[i]).score
+                scores[i] = reference(regimes.taus(i)).score
             except DegenerateFitError:
                 scores[i] = math.inf
         return scores.tolist()
@@ -327,7 +337,7 @@ def exhaustive_optimize(
     configs = _enumerate_configs(n, min_len, max_m)
     while chunk := list(islice(configs, _CHUNK)):
         evaluations += len(chunk)
-        keys.append(min(zip(fitness(chunk), map(len, chunk), chunk)))
+        keys.append(min(zip(fitness(Regimes(chunk, n)), map(len, chunk), chunk)))
     score, _, taus = min(keys)
     return _report(reference, taus, score, evaluations)
 
@@ -561,7 +571,7 @@ def exact_optimize(
         """Score the configurations not scored yet; the best score so far."""
         fresh = list(dict.fromkeys(taus for taus in configs if taus not in scored))
         if fresh:
-            scored.update(zip(fresh, fitness(fresh)))
+            scored.update(zip(fresh, fitness(Regimes(fresh, n))))
         return min(scored.values())
 
     # The score is base + N log RSS + by_count[m] + A.
@@ -662,32 +672,67 @@ def _bit_matrix(configs: Sequence[tuple[int, ...]], length: int) -> np.ndarray:
     return bits
 
 
-def _repair(bits: np.ndarray, n: int, min_len: int, max_m: int) -> list[tuple[int, ...]]:
-    """Greedily drop boundaries until each row's configuration is feasible.
+def _repair(bits: np.ndarray, n: int, min_len: int, max_m: int) -> None:
+    """Greedily drop boundaries, in place, until each row's configuration
+    is feasible.
 
-    Scans each row of the bitvector matrix left to right keeping a
-    boundary only if the regime it closes is long enough (earlier
-    boundaries win), truncates to ``max_m``, then drops trailing
-    boundaries that would leave a short final regime.
+    A row's boundaries are scanned left to right, keeping one only if the
+    regime it closes is long enough (earlier boundaries win) and fewer
+    than ``max_m`` are kept; then trailing boundaries that would leave a
+    short final regime are dropped, which are exactly the kept ones past
+    ``n - min_len``.  A row none of whose set bits is flagged (closer
+    than ``min_len`` to the previous set bit, past ``n - min_len``, or of
+    rank ``max_m`` or more) keeps every bit that way, so only flagged rows
+    are walked; where ``min_len`` is 1 and ``max_m`` at least the row
+    length, no bit can be flagged.
     """
-    rows, cols = np.divmod(np.flatnonzero(bits), bits.shape[1])
-    taus = (cols + 1).tolist()
-    repaired = []
-    start = 0
-    for end in np.bincount(rows, minlength=len(bits)).cumsum().tolist():
-        kept: list[int] = []
-        prev = 0
-        for tau in taus[start:end]:
-            if len(kept) == max_m:
-                break
-            if tau - prev >= min_len:
-                kept.append(tau)
-                prev = tau
-        while kept and n - kept[-1] < min_len:
-            kept.pop()
-        repaired.append(tuple(kept))
-        start = end
-    return repaired
+    length = bits.shape[1]
+    if min_len == 1 and max_m >= length:
+        return
+    rows, cols = np.divmod(np.flatnonzero(bits), length)
+    taus = cols + 1
+    opens = np.ones(taus.size, bool)  # each row's first set bit
+    opens[1:] = rows[1:] != rows[:-1]
+    prev = np.empty_like(taus)
+    prev[1:] = taus[:-1]
+    prev[opens] = 0
+    top = n - min_len
+    flagged = (taus - prev < min_len) | (taus > top)
+    if max_m < length:
+        at = np.arange(taus.size)
+        flagged |= at - np.maximum.accumulate(np.where(opens, at, 0)) >= max_m
+    if not flagged.any():
+        return
+    walked = np.zeros(len(bits), bool)
+    walked[rows[flagged]] = True
+    entries = np.flatnonzero(walked[rows])
+    # The greedy scan of each walked row, its trailing drop as tau <= top.
+    dropped = []
+    row = -1
+    for i, r, tau in zip(entries.tolist(), rows[entries].tolist(), taus[entries].tolist()):
+        if r != row:
+            row, last, kept = r, 0, 0
+        if kept < max_m and tau - last >= min_len and tau <= top:
+            last = tau
+            kept += 1
+        else:
+            dropped.append(i)
+    bits[rows[dropped], cols[dropped]] = False
+
+
+def _keys(bits: np.ndarray) -> list[bytes]:
+    """Each row's memo key: the bytes of its complemented bits, packed.  At
+    the first position where two rows that set as many bits differ, the
+    row whose boundary tuple is the smaller sets the bit, so its key has
+    the 0 there: such rows' keys sort as their boundary tuples do."""
+    packed = np.packbits(~bits, axis=1)
+    return packed.view(np.dtype((np.void, packed.shape[1]))).ravel().tolist()
+
+
+def _taus_of(key: bytes, length: int) -> tuple[int, ...]:
+    """The boundary tuple whose :func:`_keys` key over ``1..length`` is ``key``."""
+    bits = np.unpackbits(np.frombuffer(key, np.uint8), count=length)
+    return tuple((np.flatnonzero(bits == 0) + 1).tolist())
 
 
 # Generations >= 1 of each draw key's draws, kept by the open
@@ -734,8 +779,8 @@ def _draw(params: GAParams, n: int, child_count: int, gen: int):
     from_second = rng.random((child_count, length)) < 0.5
     flips = rng.random((child_count, length)) < params.mutation_rate / length
     # Rows are ranks, so a tournament's winner is its smallest pick.
-    return (picks[:, :3].min(axis=1), picks[:, 3:].min(axis=1),
-            crossed[:, None] & from_second, flips)
+    winners = picks.reshape(child_count, 2, 3).min(axis=2)
+    return winners[:, 0], winners[:, 1], crossed[:, None] & from_second, flips
 
 
 def _pack(drawn, population_size: int):
@@ -792,15 +837,21 @@ def ga_minimize(
 ) -> GARun:
     """Minimize ``fitness`` over boundary tuples of a length-``n`` series.
 
-    ``fitness`` maps a list of distinct boundary tuples, whose regimes
-    all span at least ``min_len`` indices, to their scores (+inf where
-    one cannot be scored).  A tuple's score must not depend on the rest
-    of the list.  Each generation's tuples not yet scored are collected
-    in first-seen order and scored by one call; each distinct tuple is
-    scored once, and only its sort key ``(score, m, taus)`` is kept.
+    ``fitness`` maps a :class:`~cetseg.core.Regimes` batch of distinct
+    configurations, whose regimes all span at least ``min_len`` indices,
+    to their scores (+inf where one cannot be scored).  A configuration's
+    score must not depend on the rest of the batch.  Each generation's
+    configurations not yet scored are collected in first-seen order and
+    scored by one call; each is scored once, and only its sort key
+    ``(score, m, key)`` is kept, keyed by ``key``, the bytes of its
+    complemented inclusion bits packed (:func:`_keys`).  At equal ``m``,
+    keys sort as boundary tuples do, so the order is that of ``(score,
+    m, taus)``; the winner's tuple is decoded from its key once.
     Individuals are inclusion bitvectors over candidate boundaries
-    ``1..n-1``; infeasible children are repaired, never rejected.  See
-    :func:`ga_optimize` for the generation scheme and the stopping rule.
+    ``1..n-1``, and a generation is a bool matrix ranked best first, one
+    row per individual; infeasible children are repaired in place, never
+    rejected.  See :func:`ga_optimize` for the generation scheme and the
+    stopping rule.
 
     Each generation's draws come from one stream keyed by
     ``(params.seed, generation)``, generation 0 building the initial
@@ -825,27 +876,33 @@ def ga_minimize(
     for taus in initial:
         ChangepointConfiguration(taus)._check_n(n)
     pop_size = params.population_size
-    cache: dict[tuple[int, ...], tuple] = {}
+    cache: dict[bytes, tuple] = {}
 
-    def ranked(pop: list[tuple[int, ...]]) -> list[tuple]:
-        missing = [taus for taus in dict.fromkeys(pop) if taus not in cache]
+    def ranked(pop: np.ndarray, keys: list[bytes]) -> tuple[np.ndarray, list[tuple]]:
+        """``pop``'s rows and their sort keys, best first."""
+        missing = {key: row for row, key in enumerate(keys) if key not in cache}
         if missing:
-            for taus, score in zip(missing, fitness(missing)):
-                cache[taus] = (score, len(taus), taus)
-        keys = [cache[taus] for taus in pop]
-        keys.sort()
-        return keys
+            fresh = pop[list(missing.values())]
+            rows, cols = np.divmod(np.flatnonzero(fresh), length)
+            counts = np.bincount(rows, minlength=len(fresh))
+            scores = fitness(Regimes.from_flat(counts, cols + 1, n))
+            for key, score, m in zip(missing, scores, counts.tolist()):
+                cache[key] = (score, m, key)
+        sort_keys = [cache[key] for key in keys]
+        order = sorted(range(len(keys)), key=sort_keys.__getitem__)
+        return pop[order], [sort_keys[i] for i in order]
 
     elite_count = max(1, round(params.elite_fraction * pop_size))
     child_count = pop_size - elite_count
     draws = _draws(params, n, child_count)
     include_prob = min(1.0, 3.0 / n)
-    population = [()] + _repair(_bit_matrix(initial, length), n, min_len, cap)
-    population = population[:pop_size]
     rng = np.random.default_rng((params.seed, 0))
-    fresh = rng.random((pop_size, length)) < include_prob
-    population += _repair(fresh[len(population):], n, min_len, cap)
-    current = ranked(population)
+    pop = rng.random((pop_size, length)) < include_prob
+    # The empty configuration and the initial ones come first.
+    seeded = _bit_matrix([(), *initial], length)[:pop_size]
+    pop[:len(seeded)] = seeded
+    _repair(pop, n, min_len, cap)
+    pop, current = ranked(pop, _keys(pop))
     best_key = current[0]
     history = [best_key[0]]
     stagnation = 0
@@ -853,15 +910,15 @@ def ga_minimize(
 
     for gen in range(1, params.max_generations + 1):
         first_rank, second_rank, take, flips = draws(gen)
-        parents = _bit_matrix([key[2] for key in current], length)
-        first = parents[first_rank]
-        second = parents[second_rank]
+        first = pop[first_rank]
+        second = pop[second_rank]
         # Uniform crossover as bit operations: the second parent's bit where
         # a crossed child takes it, the first parent's elsewhere.
-        bits = first ^ ((first ^ second) & take) ^ flips
-        population = [key[2] for key in current[:elite_count]]
-        population += _repair(bits, n, min_len, cap)
-        current = ranked(population)
+        children = first ^ ((first ^ second) & take) ^ flips
+        _repair(children, n, min_len, cap)
+        elite = [key[2] for key in current[:elite_count]]
+        pop, current = ranked(np.concatenate((pop[:elite_count], children)),
+                              elite + _keys(children))
         generations = gen
         gen_key = current[0]
         if gen_key[0] < best_key[0]:
@@ -876,7 +933,8 @@ def ga_minimize(
 
     if best_key[0] == math.inf:
         raise DegenerateFitError("every configuration encountered fits the data exactly")
-    return GARun(best_key[2], best_key[0], tuple(history), generations, len(cache))
+    return GARun(_taus_of(best_key[2], length), best_key[0], tuple(history), generations,
+                 len(cache))
 
 
 def ga_search(

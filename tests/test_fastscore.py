@@ -40,7 +40,14 @@ MODELS = [ModelSpec(mean, errors, penalty)
 def _searched(series, model, configs):
     """The scores a search of ``model`` ranks ``configs`` by."""
     reference = search._reference(series, model)
-    return search._fallback(score_function(series, model), reference)(configs)
+    return search._fallback(score_function(series, model), reference)(Regimes(configs, series.n))
+
+
+def _repaired(rows, n, min_len):
+    """The feasible configurations ``_repair`` makes of bit rows over ``1..n-1``."""
+    bits = np.array(rows, dtype=bool).reshape(len(rows), n - 1)
+    _repair(bits, n, min_len, n - 1)
+    return [tuple((np.flatnonzero(row) + 1).tolist()) for row in bits]
 
 
 def _close(a: float, b: float) -> bool:
@@ -58,7 +65,7 @@ def _random_configs(series, min_len, count, seed):
     rng = np.random.default_rng(seed)
     for _ in range(count):
         bits = rng.random(series.n - 1) < rng.choice([0.01, 0.05, 0.3])
-        [taus] = _repair(bits[None], series.n, min_len, series.n - 1)
+        [taus] = _repaired([bits], series.n, min_len)
         yield taus
 
 
@@ -81,7 +88,7 @@ def scored_cases(draw):
     min_len = min_segment_length(model)
     n = draw(st.integers(2 * min_len, 40))
     bits = np.array(draw(st.lists(st.booleans(), min_size=n - 1, max_size=n - 1)))
-    [taus] = _repair(bits[None], n, min_len, n - 1)
+    [taus] = _repaired([bits], n, min_len)
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     offset = draw(st.one_of(st.just(0.0), st.floats(-1e4, 1e4)))
     scale = draw(st.sampled_from((1.0, 1e-3, 1e-6)))
@@ -104,7 +111,7 @@ def scored_cases(draw):
 def test_fast_score_matches_reference(case):
     model, series, taus = case
     reference = _reference(series, model, taus)
-    [fast] = score_function(series, model)([taus])
+    [fast] = score_function(series, model)(Regimes([taus], series.n))
     [searched] = _searched(series, model, [taus])
     if reference is None:
         # a degenerate fit is never scored fast: it falls back and ranks last
@@ -120,7 +127,7 @@ def test_well_conditioned_series_never_fall_back(model):
     # the fast path must carry the search, not the fallback
     series = _cet_like(3)
     configs = list(_random_configs(series, min_segment_length(model), 200, 4))
-    for taus, score in zip(configs, score_function(series, model)(configs)):
+    for taus, score in zip(configs, score_function(series, model)(Regimes(configs, series.n))):
         assert not math.isnan(score), taus
         assert _close(score, _reference(series, model, taus))
 
@@ -131,7 +138,7 @@ def test_constant_series_falls_back_to_degenerate(model):
     level = 0.0 if model.mean_structure.value == "variance-shift" else 1e4
     series = TimeSeries(1900, np.full(12, level))
     taus = (4, 8)
-    assert math.isnan(score_function(series, model)([taus])[0])
+    assert math.isnan(score_function(series, model)(Regimes([taus], series.n))[0])
     assert _searched(series, model, [taus]) == [math.inf]
 
 
@@ -151,7 +158,7 @@ def test_scorer_is_freed_without_the_cycle_collector(model):
 
 def test_winner_whose_refit_disagrees_raises(monkeypatch):
     monkeypatch.setattr(search, "score_function",
-                        lambda series, model: lambda configs: np.full(len(configs), -1.0))
+                        lambda series, model: lambda regimes: np.full(regimes.m.size, -1.0))
     series = simulate_series(SimSpec(n=12, phi=0.4, seed=5))
     with pytest.raises(search.RefitMismatchError):
         search.exhaustive_optimize(series, ModelSpec("mean-shift", "ar1"))
@@ -173,7 +180,7 @@ def joinpin_cases(draw):
     """
     n = draw(st.integers(4, 40))
     bits = np.array(draw(st.lists(st.booleans(), min_size=n - 1, max_size=n - 1)))
-    [taus] = _repair(bits[None], n, 2, n - 1)
+    [taus] = _repaired([bits], n, 2)
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     offset = draw(st.one_of(st.just(0.0), st.floats(-1e4, 1e4)))
     scale = draw(st.sampled_from((1.0, 1e-3, 1e-6)))
@@ -196,7 +203,7 @@ def joinpin_cases(draw):
 @settings(max_examples=600, deadline=None)
 def test_joinpin_fast_rss_matches_reference(case):
     series, taus, sigma2, exact = case
-    [rss] = joinpin_rss(series.values)([taus])
+    [rss] = joinpin_rss(series.values)(Regimes([taus], series.n))
     if exact:
         # an exact fit is never scored fast: the search leaves it to the least squares
         assert math.isnan(rss)
@@ -209,7 +216,7 @@ def test_joinpin_fast_rss_matches_reference(case):
 def test_joinpin_cet_like_series_never_falls_back():
     series = _cet_like(1)
     configs = list(_random_configs(series, 2, 100, 4))
-    for taus, rss in zip(configs, joinpin_rss(series.values)(configs)):
+    for taus, rss in zip(configs, joinpin_rss(series.values)(Regimes(configs, series.n))):
         assert not math.isnan(rss), taus
         reference = fit_joinpin(series, ChangepointConfiguration(taus), 0.29).bic_score
         assert _close(_joinpin_score(series, taus, rss, 0.29), reference)
@@ -220,7 +227,7 @@ def test_joinpin_winner_whose_refit_disagrees_raises(monkeypatch):
 
     def perturbed(values):
         fast = joinpin_rss(values)
-        return lambda configs: fast(configs) + 1.0  # NaN rows stay NaN
+        return lambda regimes: fast(regimes) + 1.0  # NaN rows stay NaN
 
     monkeypatch.setattr(joinpin, "joinpin_rss", perturbed)
     series = simulate_series(SimSpec(n=30, phi=0.4, seed=5))
@@ -235,7 +242,7 @@ def _same(a: float, b: float) -> bool:
 def _extra_configs(draw, n, min_len):
     """Up to five more feasible configurations of a length-``n`` series."""
     rows = draw(st.lists(st.lists(st.booleans(), min_size=n - 1, max_size=n - 1), max_size=5))
-    return _repair(np.array(rows, dtype=bool).reshape(len(rows), n - 1), n, min_len, n - 1)
+    return _repaired(rows, n, min_len)
 
 
 @st.composite
@@ -257,7 +264,7 @@ def batch_cases(draw):
         min_len = 2
     configs = [taus, *_extra_configs(draw, series.n, min_len)]
     order = draw(st.permutations(range(len(configs))))
-    return score, configs, order
+    return lambda batch: score(Regimes(batch, series.n)), configs, order
 
 
 @given(batch_cases())
@@ -280,7 +287,7 @@ def _check_rss_table(series, configs, penalty):
     n = series.n
     model = ModelSpec("trend-shift", "wn", penalty)
     table, _ = trend_rss_table(series.values, min_segment_length(model))
-    scores = score_function(series, model)(configs)
+    scores = score_function(series, model)(Regimes(configs, n))
     penalties = penalty_function(model, n)(Regimes(configs, n))
     checked = 0
     for taus, score, pen in zip(configs, scores.tolist(), penalties.tolist()):

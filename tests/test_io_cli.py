@@ -416,6 +416,23 @@ class TestCliFit:
         assert main(["fit", "--input", str(p), "--format", "csv",
                      "--model", "trend-shift"]) == 3
 
+    @pytest.mark.parametrize("first", ["2017", "2016"])
+    @pytest.mark.parametrize("model", ["joinpin", "variance-shift"])
+    def test_a_stage_too_short_to_search_is_named(self, tmp_path, capsys, model, first):
+        # N = 4 or 5: too short for the trend-shift+wn stage (6), not for the family
+        p = tmp_path / "short.csv"
+        p.write_text("".join(f"{2000 + i},{(i * 7) % 5 + 0.1 * i}\n" for i in range(21)),
+                     encoding="utf-8")
+        args = ["fit", "--input", str(p), "--format", "csv", "--from", first, *FAST]
+        assert main([*args, "--model", model]) == 3
+        err = capsys.readouterr().err
+        n = 2021 - int(first)
+        assert "error: the trend-shift+wn/bic stage that " in err
+        assert f"series of length {n} is too short to search (need >= 6)" in err
+        assert ("--sigma2 skips this stage" in err) == (model == "joinpin")
+        if model == "joinpin":
+            assert main([*args, "--model", model, "--sigma2", "0.3"]) == 0
+
     def test_constant_series_exits_2(self, tmp_path, capsys):
         # every mean-shift configuration fits a constant series exactly
         p = tmp_path / "flat.csv"

@@ -206,7 +206,7 @@ class TestJoinpinSearch:
         series = _kinked(30, tau=14, slope_gain=0.8, sigma=0.4, seed=42)
         monkeypatch.setattr(
             joinpin, "joinpin_rss",
-            lambda values: lambda configs: np.full(len(configs), np.nan),
+            lambda values: lambda regimes: np.full(regimes.m.size, np.nan),
         )
         report = joinpin_search(series, 0.16, params=lean_ga(seed=9))
         assert report.best == fit_joinpin(series, report.best.config, 0.16)

@@ -1,5 +1,7 @@
 import itertools
+import math
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -17,6 +19,7 @@ from cetseg import (
     TimeSeries,
     estimation,
 )
+from cetseg.core import Regimes
 from cetseg.fastscore import score_function
 from cetseg.penalties import penalty_value
 from cetseg import search
@@ -26,8 +29,10 @@ from cetseg.search import (
     _bit_matrix,
     _enumerate_configs,
     _fallback,
+    _keys,
     _reference,
     _repair,
+    _taus_of,
     evaluate,
     exhaustive_optimize,
     ga_minimize,
@@ -170,6 +175,30 @@ class TestEnumeration:
                 )
 
 
+def _greedy_repair(row, n, min_len, max_m):
+    """Reference repair of one bit row: scan its boundaries left to right,
+    keep each that closes a regime of at least ``min_len`` while fewer
+    than ``max_m`` are kept, then drop trailing ones that leave a short
+    final regime."""
+    kept = []
+    prev = 0
+    for tau in (np.flatnonzero(row) + 1).tolist():
+        if len(kept) == max_m:
+            break
+        if tau - prev >= min_len:
+            kept.append(tau)
+            prev = tau
+    while kept and n - kept[-1] < min_len:
+        kept.pop()
+    return tuple(kept)
+
+
+def _repaired(bits, n, min_len, max_m):
+    """The boundary tuples of ``bits`` after an in-place ``_repair``."""
+    assert _repair(bits, n, min_len, max_m) is None
+    return [tuple((np.flatnonzero(row) + 1).tolist()) for row in bits]
+
+
 class TestRepair:
     @given(
         bits=st.lists(st.booleans(), min_size=1, max_size=30),
@@ -181,24 +210,93 @@ class TestRepair:
         n = len(bits) + 1
         assume(n >= min_len)
         arr = np.array(bits, dtype=bool)
-        [taus] = _repair(arr[None], n, min_len, max_m)
+        [taus] = _repaired(arr[None].copy(), n, min_len, max_m)
 
         assert len(taus) <= max_m
         assert set(taus) <= {int(i) + 1 for i in np.flatnonzero(arr)}
         cfg = ChangepointConfiguration(taus)
         cfg.validate_for(n, min_len)  # must not raise
         # idempotence: a repaired chromosome survives repair unchanged
-        assert _repair(_bit_matrix([taus], n - 1), n, min_len, max_m) == [taus]
+        assert _repaired(_bit_matrix([taus], n - 1), n, min_len, max_m) == [taus]
+
+    @given(
+        rows=st.integers(1, 12).flatmap(lambda length: st.lists(
+            st.lists(st.booleans(), min_size=length, max_size=length), min_size=1, max_size=8)),
+        min_len=st.integers(1, 3),
+        cap=st.sampled_from(("zero", "one", "n-1")),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_in_place_repair_matches_the_greedy_reference(self, rows, min_len, cap):
+        drawn = np.array(rows, dtype=bool)
+        n = drawn.shape[1] + 1
+        max_m = {"zero": 0, "one": 1, "n-1": n - 1}[cap]
+        # a slice of a larger matrix, as the GA repairs its children in place
+        buffer = np.ones((len(drawn) + 1, n - 1), dtype=bool)
+        buffer[1:] = drawn
+        bits = buffer[1:]
+        expected = [_greedy_repair(row, n, min_len, max_m) for row in drawn]
+        assert _repaired(bits, n, min_len, max_m) == expected
+        assert buffer[0].all()
+        for row, before, taus in zip(bits, drawn, expected):
+            if tuple((np.flatnonzero(before) + 1).tolist()) == taus:
+                # a feasible row is left bit for bit as drawn
+                assert np.array_equal(row, before)
 
     def test_earlier_boundaries_win(self):
         bits = _bit_matrix([(2, 3, 9)], 9)
-        assert _repair(bits, 10, 3, 9) == [(3,)]
+        assert _repaired(bits, 10, 3, 9) == [(3,)]
 
     def test_greedy_on_saturated_chromosome(self):
-        bits = np.ones((1, 9), dtype=bool)
-        assert _repair(bits, 10, 2, 9) == [(2, 4, 6, 8)]
-        assert _repair(bits, 10, 2, 2) == [(2, 4)]
-        assert _repair(bits, 10, 2, 0) == [()]
+        for max_m, taus in ((9, (2, 4, 6, 8)), (2, (2, 4)), (0, ())):
+            assert _repaired(np.ones((1, 9), dtype=bool), 10, 2, max_m) == [taus]
+
+    def test_only_rows_with_a_flagged_bit_change(self):
+        # rows: feasible; too close; past n - min_len; over the cap
+        bits = _bit_matrix([(3, 7), (3, 4, 8), (3, 9), (2, 4, 6)], 9)
+        drawn = bits.copy()
+        assert _repaired(bits, 10, 2, 2) == [(3, 7), (3, 8), (3,), (2, 4)]
+        assert np.array_equal(bits[0], drawn[0])
+
+
+class TestMemoKeys:
+    @given(n=st.integers(2, 400), seed=st.integers(0, 2**32 - 1), data=st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_key_order_is_boundary_order_at_equal_m(self, n, seed, data):
+        rng = np.random.default_rng(seed)
+        m = data.draw(st.integers(0, n - 1))
+        a = tuple(sorted(rng.choice(np.arange(1, n), m, replace=False).tolist()))
+        if data.draw(st.booleans()) and 0 < m < n - 1:
+            # the same boundaries but one, moved to a free position
+            free = sorted(set(range(1, n)) - set(a))
+            moved = set(a) - {a[data.draw(st.integers(0, m - 1))]}
+            b = tuple(sorted(moved | {free[data.draw(st.integers(0, len(free) - 1))]}))
+        else:
+            b = tuple(sorted(rng.choice(np.arange(1, n), m, replace=False).tolist()))
+        key_a, key_b = _keys(_bit_matrix([a, b], n - 1))
+        assert (key_a < key_b) == (a < b)
+        assert (key_a == key_b) == (a == b)
+        assert _taus_of(key_a, n - 1) == a
+        assert _taus_of(key_b, n - 1) == b
+
+
+def test_fallback_fits_only_undecided_rows_each_with_its_own_tuple():
+    configs = [(), (3,), (2, 5), (4,), (1, 3, 6)]
+    fitted = []
+
+    def fast(regimes):
+        assert regimes.m.tolist() == [0, 1, 2, 1, 3]
+        return np.array([1.0, np.nan, 2.0, np.nan, np.nan])
+
+    def reference(taus):
+        fitted.append(taus)
+        if taus == (4,):
+            raise DegenerateFitError("exact fit")
+        return SimpleNamespace(score=10.0 + len(taus))
+
+    scores = _fallback(fast, reference)(Regimes(configs, 8))
+    assert scores == [1.0, 11.0, 2.0, math.inf, 13.0]
+    assert fitted == [(3,), (4,), (1, 3, 6)]
+    assert all(type(tau) is int for taus in fitted for tau in taus)
 
 
 class TestExhaustive:
@@ -323,9 +421,9 @@ class TestGA:
         fitness = _model_fitness(ar1_series(21, 80), ModelSpec("trend-shift", "wn"))
         scored = set()
 
-        def recording(configs):
-            scored.update(configs)
-            return fitness(configs)
+        def recording(regimes):
+            scored.update(map(regimes.taus, range(regimes.m.size)))
+            return fitness(regimes)
 
         return scored, ga_minimize(recording, 80, 3, params, initial=initial)
 
@@ -344,7 +442,8 @@ class TestGA:
         }[rule]
         scored = {}
 
-        def recording(configs):
+        def recording(regimes):
+            configs = [regimes.taus(i) for i in range(regimes.m.size)]
             scores = [score_of(taus) for taus in configs]
             scored.update(zip(configs, scores))
             return scores
@@ -415,7 +514,7 @@ class TestGA:
             fitted.append(taus)
             return evaluate(series, model, ChangepointConfiguration(taus))
 
-        undecided = lambda configs: np.full(len(configs), np.nan)
+        undecided = lambda regimes: np.full(regimes.m.size, np.nan)
         report = ga_search(undecided, reference, series.n, 3, lean_ga(seed=2))
         # one reference fit per distinct configuration, plus the winner's refit
         assert len(fitted) == report.evaluations_count + 1
@@ -426,7 +525,7 @@ class TestGA:
     def test_initial_tuple_that_is_no_configuration_rejected(self, initial):
         # (20,) used to end in an IndexError, and (0, 5) silently seeded boundary 13
         with pytest.raises(DomainError):
-            ga_minimize(lambda configs: [0.0] * len(configs), 14, 1, lean_ga(),
+            ga_minimize(lambda regimes: [0.0] * regimes.m.size, 14, 1, lean_ga(),
                         initial=[initial])
 
     def test_initial_config_out_of_range_rejected(self):
@@ -578,7 +677,7 @@ class TestSharedDraws:
     def test_memo_is_dropped_when_the_scope_raises(self):
         with pytest.raises(DegenerateFitError):
             with shared_draws():
-                ga_minimize(lambda configs: [np.inf] * len(configs), self.N, 1, self.PARAMS)
+                ga_minimize(lambda regimes: [np.inf] * regimes.m.size, self.N, 1, self.PARAMS)
         assert search._SHARED.get() is None
 
 
