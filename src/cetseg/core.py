@@ -248,6 +248,8 @@ class Regimes:
         regime order and, within a regime, in the order given: the same
         floating-point result as a running total in a loop, because
         ``np.bincount`` adds its weights in index order."""
+        if len(terms) == 1:
+            return np.bincount(self.row, terms[0], self.m.size)
         return np.bincount(np.repeat(self.row, len(terms)),
                            np.column_stack(terms).reshape(-1), self.m.size)
 

@@ -1,4 +1,4 @@
-"""Score-only fits in O(m) from per-series prefix sums.
+"""Score-only fits in O(m) from per-regime tables and per-series prefix sums.
 
 A changepoint search scores thousands of configurations of one series.
 Every statistic a fit needs is a sum over the observations of each
@@ -7,10 +7,23 @@ by one subtraction, and a configuration with ``m`` changepoints is
 scored in O(m) float operations, without fitted values or residual
 arrays.  These are the sufficient statistics that segment-neighbourhood
 search (Auger and Lawrence 1989) and PELT (Killick et al. 2012) build
-on.  This module owns the per-regime formulas below; the exact search
-reads the trend-shift one as a table of every regime's RSS
-(:func:`trend_rss_table`), and the penalties come from
-:mod:`cetseg.penalties`.
+on.  This module owns the per-regime formulas below, and the penalties
+come from :mod:`cetseg.penalties`.
+
+Where a regime's terms depend only on its start and end, a scorer
+tabulates them once per search for every regime of at least the
+family's shortest length (:func:`_regime_terms`), as segment-
+neighbourhood search does: the mean-shift+ar1, trend-shift+ar1 and
+trend-shift+wn scorers.  The terms are the regime's RSS and, for AR(1)
+errors, the lag-1 sum of its residuals inside it and its first and last
+residual, each by the operations of the formulas below in their order,
+so a table score is the prefix-sum score bit for bit.  A batch score is
+then one gather per table, the product straddling each boundary and
+the per-configuration sums.  The trend-shift+wn table is
+:func:`trend_rss_table`, which the exact search builds and hands to its
+scorer.  The fixed-slope scorer (whose slope is pooled over a
+configuration's regimes), the variance-shift scorer and
+:func:`joinpin_rss` gather prefix sums on every call.
 
 The sums are taken of ``x`` centred on the series mean and of ``t``
 centred on ``(N + 1) / 2``; the time sums are then exact.  Per regime:
@@ -51,7 +64,8 @@ for positivity.  Variance shifts check each regime's sum of squares
 against the prefix sum it is taken from.  Exactly constant or exactly
 linear data land in these checks, so degenerate fits are always left to
 the reference.
-Scorers do not validate configurations.
+Scorers do not validate configurations: a table scorer reads a regime
+shorter than the family's minimum from another regime's entry.
 """
 
 from __future__ import annotations
@@ -60,7 +74,6 @@ import math
 from typing import Callable
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .core import ErrorModel, MeanStructure, ModelSpec, Regimes, TimeSeries
 from .estimation import LOG_2PI
@@ -97,13 +110,28 @@ def _log(values: np.ndarray, valid: np.ndarray) -> np.ndarray:
     return out
 
 
-def score_function(series: TimeSeries, model: ModelSpec) -> Scorer:
+def score_function(series: TimeSeries, model: ModelSpec,
+                   rss_table: tuple[np.ndarray, float] | None = None) -> Scorer:
     """Fast scorer of ``model`` on ``series``: a :class:`~cetseg.core.Regimes`
-    batch -> its scores, NaN where the reference fit must score."""
+    batch -> its scores, NaN where the reference fit must score.
+
+    ``rss_table`` is the series' :func:`trend_rss_table` for trend-shift+wn,
+    where the caller has built it; the scorer then reads that array."""
     penalty = penalty_function(model, series.n)
-    if model.mean_structure is MeanStructure.VARIANCE_SHIFT:
-        return _variance_scorer(series.values, penalty)
-    return _mean_scorer(series.values, model, penalty)
+    values, structure = series.values, model.mean_structure
+    if structure is MeanStructure.VARIANCE_SHIFT:
+        return _variance_scorer(values, penalty)
+    if structure is MeanStructure.FIXED_SLOPE:
+        return _fixed_slope_scorer(values, penalty)
+    min_len = model.family.min_len
+    if model.error_model is ErrorModel.AR1:
+        offsets, tables, floor = _ar1_tables(values, min_len,
+                                             structure is MeanStructure.TREND_SHIFT)
+    else:
+        table, floor = rss_table if rss_table is not None else trend_rss_table(values, min_len)
+        offsets = np.arange(0, table.size, table.shape[1])
+        tables = [table.reshape(-1)]
+    return _table_scorer(values.size, offsets, tables, floor, penalty)
 
 
 def _centred_sums(values: np.ndarray):
@@ -117,6 +145,40 @@ def _centred_sums(values: np.ndarray):
     floor = max(CANCELLATION * float(sums[1, n]),
                 RESOLUTION * n * float(np.max(np.abs(values))) ** 2)
     return x, t, sums, floor
+
+
+def _pair_sums(x: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """Prefix sums of the adjacent-pair sums of x x', x + x', x t' + x' t,
+    t + t' and t t' (one row each): row ``j`` at ``e`` less at ``a`` sums
+    the pairs ``(i, i + 1)`` with ``a <= i < e``."""
+    x0, x1, t0, t1 = x[:-1], x[1:], t[:-1], t[1:]
+    return _cumsum(np.stack((x0 * x1, x0 + x1, x0 * t1 + x1 * t0, t0 + t1, t0 * t1)))
+
+
+def _neg2loglik(n: int, rss: np.ndarray, floor: float,
+                cross: np.ndarray | None = None, last: np.ndarray | None = None) -> np.ndarray:
+    """Per configuration, -2 log-likelihood from its residual sum of squares
+    and, for AR(1) errors, the lag-1 cross product and the last residual;
+    NaN where rounding could show."""
+    kept = rss > floor
+    if cross is None:
+        n_sigma2 = rss
+    else:
+        with np.errstate(divide="ignore", invalid="ignore"):
+            phi = cross / rss
+            n_sigma2 = rss - 2.0 * phi * cross + phi * phi * (rss - last * last)
+            kept &= n_sigma2 > CANCELLATION * rss
+    return n * (_log(n_sigma2 / n, kept) + 1.0 + LOG_2PI)
+
+
+def _straddling(regimes: Regimes, closing: np.ndarray, opening: np.ndarray) -> np.ndarray:
+    """Per regime, the lag-1 product straddling the boundary it opens: the
+    residual closing the previous regime times the one opening this one
+    (0.0 for each row's first regime)."""
+    out = np.zeros_like(closing)
+    out[1:] = closing[:-1] * opening[1:]
+    out[regimes.first] = 0.0
+    return out
 
 
 def _variance_scorer(values: np.ndarray, penalty) -> Scorer:
@@ -135,143 +197,230 @@ def _variance_scorer(values: np.ndarray, penalty) -> Scorer:
     return score
 
 
-def _mean_scorer(values: np.ndarray, model: ModelSpec, penalty) -> Scorer:
-    """Scores of one mean structure, with white-noise or AR(1) errors."""
+def _table_scorer(n: int, offsets: np.ndarray, tables: list[np.ndarray], floor: float,
+                  penalty) -> Scorer:
+    """Scores read from per-regime tables: entry ``offsets[e] + s`` of each
+    table holds a term of the regime ``s+1..e`` (:func:`_regime_terms`),
+    its RSS and, for AR(1) errors, its inside lag-1 sum and its opening
+    and closing residuals."""
+    ar1 = len(tables) > 1
+
+    def score(regimes: Regimes) -> np.ndarray:
+        at = offsets[regimes.ends] + regimes.starts
+        terms = [np.take(table, at) for table in tables]
+        rss = regimes.row_sums(terms[0])
+        if not ar1:
+            return _neg2loglik(n, rss, floor) + penalty(regimes)
+        _, inside, opening, closing = terms
+        cross = regimes.row_sums(inside, _straddling(regimes, closing, opening))
+        return _neg2loglik(n, rss, floor, cross, closing[regimes.last]) + penalty(regimes)
+
+    return score
+
+
+def _fixed_slope_scorer(values: np.ndarray, penalty) -> Scorer:
+    """Fixed-slope+ar1 scores from prefix sums: the slope is pooled over a
+    configuration's regimes, so a regime's terms depend on the others."""
     n = values.size
     x, t, sums, floor = _centred_sums(values)
     # Within-regime centred sum of squares of t over k consecutive indices.
     k = np.arange(n + 1.0)
     STT = k * (k * k - 1) / 12.0
-    ar1 = model.error_model is ErrorModel.AR1
-    if ar1:
-        xt = np.stack((x, t))
-        x0, x1, t0, t1 = x[:-1], x[1:], t[:-1], t[1:]
-        # Adjacent-pair sums of x x', x + x', x t' + x' t, t + t' and t t'.
-        pairs = _cumsum(np.stack((x0 * x1, x0 + x1, x0 * t1 + x1 * t0,
-                                  t0 + t1, t0 * t1)))
+    xt = np.stack((x, t))
+    pairs = _pair_sums(x, t)
 
-    # Each ``*_lines`` takes the regimes and their sums of x, x^2, t and
-    # t x, and returns, per configuration, the residual sum of squares
-    # and, per regime, the level and slope of its line p + q t in the
-    # centred coordinates; slopes are 0.0 for mean shifts.
-
-    def mean_lines(regimes: Regimes, sx, sxx, st, stx):
-        p = sx / regimes.lengths
-        return regimes.row_sums(sxx - sx * p), p, 0.0
-
-    def trend_lines(regimes: Regimes, sx, sxx, st, stx):
-        # trend_rss_table tabulates these regime terms in the same order.
-        k = regimes.lengths
-        stx = stx - st * sx / k
-        q = stx / STT[k]
-        rss = regimes.row_sums(sxx - sx * sx / k - stx * q)
-        return rss, (sx - q * st) / k, q
-
-    def fixed_slope_lines(regimes: Regimes, sx, sxx, st, stx):
-        k = regimes.lengths
+    def score(regimes: Regimes) -> np.ndarray:
+        a, b, k = regimes.starts, regimes.ends, regimes.lengths
+        sx, sxx, st, stx = np.take(sums, b, axis=1) - np.take(sums, a, axis=1)
         level_rss = regimes.row_sums(sxx - sx * sx / k)
         pooled_stx = regimes.row_sums(stx - st * sx / k)
         pooled_stt = regimes.row_sums(STT[k])
-        q = pooled_stx / pooled_stt
-        slopes = q[regimes.row]
-        return level_rss - q * pooled_stx, (sx - slopes * st) / k, slopes
-
-    lines = {
-        MeanStructure.MEAN_SHIFT: mean_lines,
-        MeanStructure.TREND_SHIFT: trend_lines,
-        MeanStructure.FIXED_SLOPE: fixed_slope_lines,
-    }[model.mean_structure]
-
-    def lag1(regimes: Regimes, p, q) -> tuple[np.ndarray, np.ndarray]:
-        """Per configuration, the lag-1 cross product of the residuals and
-        the last residual."""
-        a = regimes.starts
-        e = regimes.ends - 1  # pairs (i, i + 1) with a <= i < e lie inside the regime
-        pxx, px, ptx, pt, ptt = pairs[:, e] - pairs[:, a]
-        inside = pxx - p * px - q * ptx + (e - a) * p * p + p * q * pt + q * q * ptt
-        # The pair straddling each boundary: the residual closing the previous
-        # regime times the one opening this regime.
-        (x_a, x_e), (t_a, t_e) = xt[:, (a, e)]
-        closing = x_e - p - q * t_e
-        straddling = np.zeros_like(inside)
-        straddling[1:] = closing[:-1] * (x_a - p - q * t_a)[1:]
-        straddling[regimes.first] = 0.0
-        return regimes.row_sums(inside, straddling), closing[regimes.last]
-
-    def score(regimes: Regimes) -> np.ndarray:
-        rss, p, q = lines(regimes, *(sums[:, regimes.ends] - sums[:, regimes.starts]))
-        kept = rss > floor
-        if ar1:
-            with np.errstate(divide="ignore", invalid="ignore"):
-                cross, last = lag1(regimes, p, q)
-                phi = cross / rss
-                n_sigma2 = rss - 2.0 * phi * cross + phi * phi * (rss - last * last)
-                kept &= n_sigma2 > CANCELLATION * rss
-        else:
-            n_sigma2 = rss
-        return n * (_log(n_sigma2 / n, kept) + 1.0 + LOG_2PI) + penalty(regimes)
+        slope = pooled_stx / pooled_stt
+        rss = level_rss - slope * pooled_stx
+        # Per regime, the level and slope of its line p + q t in the centred
+        # coordinates, and the sums over its adjacent pairs (i, i + 1),
+        # a <= i < e.
+        q = slope[regimes.row]
+        p = (sx - q * st) / k
+        e = b - 1
+        pxx, px, ptx, pt, ptt = np.take(pairs, e, axis=1) - np.take(pairs, a, axis=1)
+        (x_a, x_e), (t_a, t_e) = np.take(xt, (a, e), axis=1)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            inside = pxx - p * px - q * ptx + (e - a) * p * p + p * q * pt + q * q * ptt
+            closing = x_e - p - q * t_e
+            straddling = _straddling(regimes, closing, x_a - p - q * t_a)
+        cross = regimes.row_sums(inside, straddling)
+        return _neg2loglik(n, rss, floor, cross, closing[regimes.last]) + penalty(regimes)
 
     return score
 
 
 def by_length(per_difference: np.ndarray) -> np.ndarray:
     """The read-only ``(n+1, n+1)`` view whose entry ``[e, s]`` is the
-    value of ``per_difference``, given over ``-n..n``, at ``e - s``."""
+    value of ``per_difference``, a contiguous array given over ``-n..n``,
+    at ``e - s``."""
     n = per_difference.size // 2
-    return sliding_window_view(per_difference, n + 1)[:, ::-1]
+    step = per_difference.itemsize
+    view = np.ndarray((n + 1, n + 1), per_difference.dtype, per_difference, n * step,
+                      (step, -step))
+    view.flags.writeable = False
+    return view
 
 
 # Row blocks per pass over a lower-triangular table (see row_blocks).
 _BLOCKS = 4
 
 
-def row_blocks(lo: int, hi: int) -> list[tuple[int, int]]:
-    """Rows ``lo..hi-1`` as up to ``_BLOCKS`` runs ``(a, b)`` of near-equal
+def row_blocks(lo: int, hi: int, count: int = _BLOCKS) -> list[tuple[int, int]]:
+    """Rows ``lo..hi-1`` as up to ``count`` runs ``(a, b)`` of near-equal
     length, none empty.  In the tables here, row ``e`` is +inf beyond
     column ``e - min_len``, so a pass that reads, per run, only the columns
     its last row can use skips most of the +inf half: equal runs read the
-    least area, ``(1 + 1/_BLOCKS) / 2`` of the full rectangle."""
-    cuts = [lo + (hi - lo) * i // _BLOCKS for i in range(_BLOCKS + 1)]
+    least area, ``(1 + 1/count) / 2`` of the full rectangle."""
+    cuts = [lo + (hi - lo) * i // count for i in range(count + 1)]
     return [(a, b) for a, b in zip(cuts, cuts[1:]) if a < b]
+
+
+# Ends per run of the regime-term build, at most: a run costs about 40
+# numpy calls, and each of its six scratch buffers holds this many rows.
+_RUN_ROWS = 32
+
+
+def _runs(n: int, min_len: int) -> list[tuple[int, int]]:
+    """The :func:`row_blocks` runs of ends a regime-term build takes."""
+    return row_blocks(min_len, n + 1, -(-(n + 1 - min_len) // _RUN_ROWS))
+
+
+def _regime_terms(centred, min_len: int, trend: bool,
+                  outs: list[tuple[np.ndarray, ...]]) -> None:
+    """Write the terms of every regime, one run of ends at a time.
+
+    ``centred`` is the series' :func:`_centred_sums`.  ``outs`` holds, per
+    run ``a..b-1`` of :func:`_runs`, the ``(b - a, b - min_len)`` arrays to
+    write: entry ``[e - a, s]`` of each is a term of the regime ``s+1..e``,
+    where ``e - s >= min_len`` (other entries are left junk).  The terms
+    are the regime's RSS and, where a run has four arrays (AR(1) errors),
+    the lag-1 sum of its residuals inside it, its opening residual and its
+    closing residual.  Each entry is computed by the operations, in the
+    order, that the per-regime score formulas apply to one regime's prefix
+    sums, with the mean shift's slope the float ``0.0``, so an entry is
+    that regime's term bit for bit, whatever run it is in.
+    """
+    x, t, (X, XX, T, TX), _ = centred
+    n = x.size
+    d = np.arange(-n, n + 1.0)
+    length = by_length(d)
+    stt = by_length(d * (d * d - 1) / 12.0)
+    gaps = by_length(d - 1.0)  # the pairs inside a regime
+    ar1 = len(outs[0]) > 1
+    if ar1:
+        PXX, PX, PTX, PT, PTT = _pair_sums(x, t)
+    runs = _runs(n, min_len)
+    area = max((b - a) * (b - min_len) for a, b in runs)
+    scratch = [np.empty(area) for _ in range(6)]
+    for (a, b), (rss, *lag1) in zip(runs, outs):
+        e, s, pe = slice(a, b), slice(0, b - min_len), slice(a - 1, b - 1)
+        k = length[e, s]
+        sx, u, v, w, q, p = (buffer[:k.size].reshape(k.shape) for buffer in scratch)
+        # Junk entries (regimes of fewer than min_len indices) may divide
+        # by zero or overflow.
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            np.subtract(X[e, None], X[s], out=sx)
+            if trend:
+                np.subtract(TX[e, None], TX[s], out=u)
+                np.subtract(T[e, None], T[s], out=v)  # st
+                np.multiply(v, sx, out=w)
+                w /= k
+                u -= w  # centred t x
+                np.divide(u, stt[e, s], out=q)  # the slope
+                u *= q
+                np.multiply(sx, sx, out=w)
+                w /= k
+                np.subtract(XX[e, None], XX[s], out=rss)
+                rss -= w
+                rss -= u
+            else:
+                np.divide(sx, k, out=p)  # the level
+                np.multiply(sx, p, out=w)
+                np.subtract(XX[e, None], XX[s], out=rss)
+                rss -= w
+            if not ar1:
+                continue
+            inside, opening, closing = lag1
+            if trend:
+                np.multiply(q, v, out=w)
+                np.subtract(sx, w, out=p)
+                p /= k  # the level
+            else:
+                q = 0.0
+            # pxx - p px - q ptx + (k - 1) p p + p q pt + q q ptt, in that order
+            np.subtract(PXX[pe, None], PXX[s], out=inside)
+            np.subtract(PX[pe, None], PX[s], out=u)
+            np.multiply(p, u, out=u)
+            inside -= u
+            np.subtract(PTX[pe, None], PTX[s], out=u)
+            np.multiply(q, u, out=u)
+            inside -= u
+            np.multiply(gaps[e, s], p, out=u)
+            u *= p
+            inside += u
+            np.multiply(p, q, out=u)
+            np.subtract(PT[pe, None], PT[s], out=w)
+            u *= w
+            inside += u
+            np.multiply(q, q, out=u)
+            np.subtract(PTT[pe, None], PTT[s], out=w)
+            u *= w
+            inside += u
+            # x - p - q t at the regime's first and last index
+            for residual, x_i, t_i in ((opening, x[s], t[s]), (closing, x[pe, None], t[pe, None])):
+                np.subtract(x_i, p, out=residual)
+                np.multiply(q, t_i, out=u)
+                residual -= u
 
 
 def trend_rss_table(values: np.ndarray, min_len: int) -> tuple[np.ndarray, float]:
     """The table ``R[e, s]`` of the residual sums of squares of the line
     fitted to indices ``s+1..e`` (+inf where ``e - s < min_len``), and the
-    scorers' trust floor.  Each entry is the term ``trend_lines`` adds for
-    that regime, by the same operations in the same order, so entries
-    summed in regime order give the trend-shift scorer's RSS bit for bit.
+    scorers' trust floor.  Each entry is the term the trend-shift scorers
+    add for that regime (:func:`_regime_terms`); the trend-shift+wn scorer
+    reads this table, and so does the exact search.
 
-    Only the lower part is computed, one :func:`row_blocks` run at a time
-    (rows ``a..b-1``, columns up to ``b - 1 - min_len``) into a +inf
-    table; each entry's operations do not depend on the block it is in."""
+    Only the lower part is computed, one run of ends ``a..b-1`` at a time
+    (columns up to ``b - 1 - min_len``), into a +inf table."""
+    centred = _centred_sums(values)
     n = values.size
-    _, _, (X, XX, T, TX), floor = _centred_sums(values)
-    d = np.arange(-n, n + 1.0)
-    length = by_length(d)
-    stt = by_length(d * (d * d - 1) / 12.0)
     table = np.full((n + 1, n + 1), math.inf)
-    for a, b in row_blocks(min_len, n + 1):
-        e, s = slice(a, b), slice(0, b - min_len)
-        k = length[e, s]
-        term = table[e, s]
-        # Three buffers at a time, combined in the order trend_lines adds its terms.
-        sx = X[e, None] - X[s]
-        stx = TX[e, None] - TX[s]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            np.subtract(T[e, None], T[s], out=term)
-            term *= sx
-            term /= k
-            stx -= term  # centred t x
-            np.divide(stx, stt[e, s], out=term)  # the slope
-            stx *= term
-            sx *= sx
-            sx /= k
-            np.subtract(XX[e, None], XX[s], out=term)
-            term -= sx
-            term -= stx
-        term[k < min_len] = math.inf
-    return table, floor
+    runs = _runs(n, min_len)
+    _regime_terms(centred, min_len, True, [(table[a:b, :b - min_len],) for a, b in runs])
+    length = by_length(np.arange(-n, n + 1.0))
+    for a, b in runs:
+        rss = table[a:b, :b - min_len]
+        rss[length[a:b, :b - min_len] < min_len] = math.inf
+    return table, centred[3]
+
+
+def _ar1_tables(values: np.ndarray, min_len: int, trend: bool):
+    """The four :func:`_regime_terms` of every regime of a mean or trend
+    shift with AR(1) errors, and the trust floor.  Table ``j`` holds term
+    ``j`` of the regime ``s+1..e`` at ``offsets[e] + s``: each run of ends
+    is a block, each end a row of the block's width, so a table is about
+    ``(1 + 1/runs) / 2`` of the full square (2.3 MB for all four at
+    N = 362)."""
+    centred = _centred_sums(values)
+    n = values.size
+    runs = _runs(n, min_len)
+    offsets = np.zeros(n + 1, np.intp)
+    start = 0
+    for a, b in runs:
+        width = b - min_len
+        offsets[a:b] = start + width * np.arange(b - a)
+        start += width * (b - a)
+    tables = [np.empty(start) for _ in range(4)]
+    blocks = [tuple(table[offsets[a]:offsets[a] + (b - a) * (b - min_len)]
+                    .reshape(b - a, b - min_len) for table in tables) for a, b in runs]
+    _regime_terms(centred, min_len, trend, blocks)
+    return offsets, tables, centred[3]
 
 
 def joinpin_rss(values: np.ndarray) -> Scorer:

@@ -4,11 +4,14 @@ enumeration for tiny series, and a GA for the other families.
 :func:`solve` is the search a command runs: :func:`exact_optimize` for
 trend-shift+wn and :func:`ga_optimize` otherwise.  Searches score
 configurations in batches with an O(m) fast score, for the families
-here the one :mod:`cetseg.fastscore` builds per search from prefix sums:
-the GA one batch per generation (the configurations it has not scored
-yet), exhaustive enumeration fixed-size chunks, the DP the winners of
-each pass, which a Lagrangian bound per changepoint count stops near
-the answer under BIC and MDL alike.  No score rule is written here:
+here the one :mod:`cetseg.fastscore` builds per search: from per-regime
+tables for mean shifts and trend shifts (the exact search hands its
+scorer the RSS table it built), from prefix sums for fixed slopes and
+variance shifts.  The GA scores one batch per generation (the
+configurations it has not scored yet), exhaustive enumeration
+fixed-size chunks, the DP the winners of each pass, which a Lagrangian
+bound per changepoint count stops near the answer under BIC and MDL
+alike.  No score rule is written here:
 :mod:`cetseg.penalties` owns the penalties and :mod:`cetseg.fastscore`
 the fast scores, and the DP reads its penalty parts and its per-regime
 RSS table from them.  One rule, shared with joinpin through
@@ -508,8 +511,9 @@ def exact_optimize(
     The score is ``N log RSS`` plus a penalty, whose parts
     (:func:`~cetseg.penalties.penalty_parts`) are a term in ``m`` and
     ``A``, a sum over regimes and boundaries.  The RSS is a sum of
-    per-regime least squares (:func:`~cetseg.fastscore.trend_rss_table`),
-    so segment-neighbourhood DP over them gives the least RSS for each
+    per-regime least squares (:func:`~cetseg.fastscore.trend_rss_table`,
+    built once and read by the batch scorer too), so
+    segment-neighbourhood DP over them gives the least RSS for each
     changepoint count ``m``.  Where ``A`` is 0 (BIC), that is the answer
     for ``m``.  Counts stop where a lower bound on the scores of all
     larger counts reaches the best score found: a bound on the least RSS
@@ -551,7 +555,8 @@ def exact_optimize(
     n = series.n
     min_len = min_segment_length(model)
     top = min(_changepoint_cap(n, min_len, max_m), n // min_len - 1)
-    rss, floor = trend_rss_table(series.values, min_len)
+    table = trend_rss_table(series.values, min_len)
+    rss, floor = table
     # At every m, RSS >= least(RSS + beta m') - beta m for each beta of a
     # grid (beta = 0 gives the least RSS of all).  The bound falls in m, so
     # its value at top bounds the RSS at every count the search may return.
@@ -564,7 +569,7 @@ def exact_optimize(
                                "fast scorers' trust floor")
 
     reference = _reference(series, model)
-    fitness = _fallback(score_function(series, model), reference)
+    fitness = _fallback(score_function(series, model, table), reference)
     scored: dict[tuple[int, ...], float] = {}
 
     def consider(configs) -> float:

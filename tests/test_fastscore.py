@@ -10,10 +10,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cetseg import ChangepointConfiguration, DegenerateFitError, ModelSpec, TimeSeries, search
+from cetseg import ChangepointConfiguration, DegenerateFitError, ModelSpec, TimeSeries, fastscore, search
 from cetseg.core import Regimes
 from cetseg.estimation import LOG_2PI
-from cetseg.fastscore import _centred_sums, joinpin_rss, score_function, trend_rss_table
+from cetseg.fastscore import (
+    _ar1_tables,
+    _centred_sums,
+    joinpin_rss,
+    score_function,
+    trend_rss_table,
+)
 from cetseg.joinpin import _neg2loglik, default_knot_penalty, fit_joinpin, joinpin_search
 from cetseg.penalties import penalty_function
 from cetseg.search import (
@@ -142,18 +148,51 @@ def test_constant_series_falls_back_to_degenerate(model):
     assert _searched(series, model, [taus]) == [math.inf]
 
 
+def _largest_table(scorer):
+    """The largest array a scorer closes over (the owner of a view)."""
+    arrays = []
+    for cell in scorer.__closure__:
+        value = cell.cell_contents
+        for item in value if isinstance(value, list) else [value]:
+            if isinstance(item, np.ndarray):
+                arrays.append(item if item.base is None else item.base)
+    return max(arrays, key=lambda array: array.nbytes)
+
+
 @pytest.mark.parametrize("model", MODELS, ids=ModelSpec.label)
 def test_scorer_is_freed_without_the_cycle_collector(model):
-    # a scorer in a reference cycle keeps its prefix-sum tables until the
-    # cyclic collector runs, so memory grew with every search of a run
+    # a scorer in a reference cycle keeps its tables until the cyclic
+    # collector runs, so memory grew with every search of a run; compare
+    # holds one row's scorer at a time on that understanding
     scorer = score_function(_cet_like(1), model)
     owner = weakref.ref(getattr(scorer, "__self__", scorer))
+    table = weakref.ref(_largest_table(scorer))
     gc.disable()
     try:
         del scorer
         assert owner() is None
+        assert table() is None
     finally:
         gc.enable()
+
+
+@pytest.mark.parametrize("penalty", ["bic", "mdl"])
+def test_exact_search_builds_its_rss_table_once(monkeypatch, penalty):
+    # the exact search's scorer reads the table the search built
+    built = []
+
+    def counted(values, min_len):
+        built.append(min_len)
+        return trend_rss_table(values, min_len)
+
+    monkeypatch.setattr(fastscore, "trend_rss_table", counted)
+    monkeypatch.setattr(search, "trend_rss_table", counted)
+    model = ModelSpec("trend-shift", "wn", penalty)
+    search.exact_optimize(_cet_like(1), model)
+    assert built == [3]
+    # a search that builds no table of its own leaves it to the scorer
+    search.ga_optimize(_cet_like(1), model, GAParams(population_size=10, max_generations=2))
+    assert built == [3, 3]
 
 
 def test_winner_whose_refit_disagrees_raises(monkeypatch):
@@ -352,3 +391,91 @@ def test_rss_table_is_every_regime_term_at_the_paper_length(seed):
     e, s, terms = _trend_terms(values, 3)
     assert np.array_equal(table[e, s], terms)
     assert np.isinf(table).sum() == table.size - terms.size
+
+
+def _ar1_terms(values, min_len, trend):
+    """Every regime ``(s, e)`` with ``e - s >= min_len``, and its RSS, inside
+    lag-1 sum, opening residual and closing residual by the prefix-sum
+    formulas, applied to flat per-regime arrays (a mean shift's slope is
+    the float 0.0)."""
+    n = values.size
+    x, t, sums, _ = _centred_sums(values)
+    e, s = np.nonzero(np.subtract.outer(np.arange(n + 1), np.arange(n + 1)) >= min_len)
+    sx, sxx, st, stx = sums[:, e] - sums[:, s]
+    k = e - s
+    if trend:
+        stt = np.arange(n + 1.0)
+        stt = stt * (stt * stt - 1) / 12.0
+        stx = stx - st * sx / k
+        q = stx / stt[k]
+        rss = sxx - sx * sx / k - stx * q
+        p = (sx - q * st) / k
+    else:
+        p = sx / k
+        rss = sxx - sx * p
+        q = 0.0
+    x0, x1, t0, t1 = x[:-1], x[1:], t[:-1], t[1:]
+    pairs = np.zeros((5, n))
+    np.cumsum(np.stack((x0 * x1, x0 + x1, x0 * t1 + x1 * t0, t0 + t1, t0 * t1)), axis=1,
+              out=pairs[:, 1:])
+    last = e - 1
+    pxx, px, ptx, pt, ptt = pairs[:, last] - pairs[:, s]
+    inside = pxx - p * px - q * ptx + (last - s) * p * p + p * q * pt + q * q * ptt
+    return e, s, (rss, inside, x[s] - p - q * t[s], x[last] - p - q * t[last])
+
+
+def _same_bits(a, b):
+    """Equal bit for bit, NaN (of any payload) exactly where NaN."""
+    nan = np.isnan(a)
+    return np.array_equal(nan, np.isnan(b)) and np.array_equal(a[~nan].view(np.int64),
+                                                               b[~nan].view(np.int64))
+
+
+@st.composite
+def conditioned_series(draw):
+    """A family, its shortest regime and a badly conditioned series: an
+    offset (up to 1e6) plus noise at a drawn scale, with drawn stretches
+    made near-constant, exactly constant or exactly linear in t; or zeros
+    of either sign, whose residuals' signs show the formulas' order."""
+    trend = draw(st.booleans())
+    min_len = 3 if trend else 1
+    n = draw(st.integers(2 * min_len, 90))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.integers(0, 9)) == 0:
+        return trend, min_len, np.where(rng.random(n) < 0.5, -0.0, 0.0)
+    offset = draw(st.sampled_from((0.0, 1e6, -1e6, 12.5)))
+    x = offset + draw(st.sampled_from((1.0, 1e-3, 1e-6))) * rng.standard_normal(n)
+    for _ in range(draw(st.integers(0, 3))):
+        a = draw(st.integers(0, n - 1))
+        b = draw(st.integers(a + 1, n))
+        kind = draw(st.sampled_from(("near-constant", "constant", "linear")))
+        level = offset + draw(st.integers(-50, 50))
+        if kind == "near-constant":
+            x[a:b] = level + 1e-9 * rng.standard_normal(b - a)
+        elif kind == "constant":
+            x[a:b] = level
+        else:
+            x[a:b] = level + draw(st.integers(-3, 3)) * np.arange(a + 1.0, b + 1.0)
+    return trend, min_len, x
+
+
+@given(conditioned_series())
+@settings(max_examples=300, deadline=None)
+def test_ar1_tables_are_every_regime_term_bit_for_bit(case):
+    # the AR(1) scorers gather these entries in place of the formulas
+    trend, min_len, values = case
+    offsets, tables, _ = _ar1_tables(values, min_len, trend)
+    e, s, terms = _ar1_terms(values, min_len, trend)
+    for table, term in zip(tables, terms):
+        assert _same_bits(table[offsets[e] + s], term)
+
+
+@pytest.mark.parametrize("seed", [1, 7])
+@pytest.mark.parametrize("trend", [False, True])
+def test_ar1_tables_are_every_regime_term_at_the_paper_length(seed, trend):
+    values = _cet_like(seed).values
+    min_len = 3 if trend else 1
+    offsets, tables, _ = _ar1_tables(values, min_len, trend)
+    e, s, terms = _ar1_terms(values, min_len, trend)
+    for table, term in zip(tables, terms):
+        assert _same_bits(table[offsets[e] + s], term)
