@@ -7,11 +7,12 @@ configurations in batches with an O(m) fast score, for the families
 here the one :mod:`cetseg.fastscore` builds per search: from per-regime
 tables for mean shifts and trend shifts (the exact search hands its
 scorer the RSS table it built), from prefix sums for fixed slopes and
-variance shifts.  The GA scores one batch per generation (the
-configurations it has not scored yet), exhaustive enumeration
-fixed-size chunks, the DP the winners of each pass, which a Lagrangian
-bound per changepoint count stops near the answer under BIC and MDL
-alike.  No score rule is written here:
+variance shifts.  Exhaustive enumeration, and the GA up to N = 15,
+score the whole feasible space in batches of at most 1,024; the GA
+above scores one batch per generation (the configurations it has not
+scored yet), the DP the winners of each pass, which a Lagrangian bound
+per changepoint count stops near the answer under BIC and MDL alike.
+No score rule is written here:
 :mod:`cetseg.penalties` owns the penalties and :mod:`cetseg.fastscore`
 the fast scores, and the DP reads its penalty parts and its per-regime
 RSS table from them.  One rule, shared with joinpin through
@@ -21,14 +22,14 @@ leaves undecided (NaN) is scored by the reference fit, here
 result, which must match its search score within ``REFIT_RTOL``.  A
 configuration's score does not depend on the batch it is scored in.
 Scorers take a :class:`~cetseg.core.Regimes` batch; a boundary tuple is
-made only for a reference fit and for a winner.  The cache holds one
-sort key per configuration, not a fit.
+made only for a reference fit and for a winner.
 
 The GA keeps each generation as a bool matrix of inclusion bits, one
-row per individual, best first; children are repaired in place, and
-its cache is keyed by the bytes of each row's complemented bits,
-packed, whose order at equal changepoint counts is the order of the
-boundary tuples.
+row per individual, best first; children are repaired in place.  Up
+to N = 15 its memo is the rank of every feasible configuration, read
+by the row's bits as an integer; above, one sort key per configuration
+scored, keyed by the bytes of each row's complemented bits, packed,
+whose order at equal changepoint counts is that of boundary tuples.
 
 The genetic algorithm is deterministic for a given seed.  Each
 generation draws from one stream keyed by ``(seed, generation)``, as
@@ -55,7 +56,8 @@ from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass
 from functools import partial
-from itertools import chain, islice
+from itertools import chain
+from operator import itemgetter
 from typing import Callable, Iterator, Sequence
 
 import numpy as np
@@ -101,8 +103,11 @@ __all__ = [
 # N; keep the exact path as a small-N oracle only.
 EXHAUSTIVE_MAX_N = 25
 
-# Configurations scored per fitness call by exhaustive enumeration.
-_CHUNK = 256
+# Most rows per matrix of _feasible_rows, so most configurations per call.
+_ROWS = 1024
+
+# Largest n - 1 at which the GA scores the whole feasible space up front.
+_TABLE_LENGTH = 14
 
 # Largest relative gap allowed between the score a search ranked its
 # winner by and the winner's reference refit.
@@ -209,8 +214,8 @@ class SearchReport:
     for exact enumeration), so it is non-increasing; entries are fast
     scores, except that the final best score is replaced by its refit,
     so ``score_history[-1] == best.score``.  ``evaluations_count``
-    counts distinct configurations scored; the search caches one score
-    per configuration.
+    counts the distinct configurations the search visited (a GA on a
+    short series scores every feasible one but visits fewer).
     """
 
     best: FitResult
@@ -224,7 +229,7 @@ class SearchReport:
 class GARun:
     """What :func:`ga_minimize` found: the winning boundaries and their
     score, the best score after each generation, the generations run
-    and the number of distinct configurations scored."""
+    and the number of distinct configurations visited."""
 
     taus: tuple[int, ...]
     score: float
@@ -299,17 +304,45 @@ def _changepoint_cap(n: int, min_len: int, max_m: int | None) -> int:
     return cap
 
 
-def _enumerate_configs(n: int, min_len: int, max_m: int) -> Iterator[tuple[int, ...]]:
-    """All boundary tuples whose regimes each span >= min_len indices."""
+def _feasible_rows(n: int, min_len: int, cap: int) -> Iterator[np.ndarray]:
+    """Each configuration of ``1..n`` (``n >= min_len``) with at most ``cap``
+    changepoints and regimes of ``min_len`` or more once, as bool rows over
+    boundaries ``1..n-1`` in matrices of at most ``_ROWS`` rows.  A block's
+    rows extend their last boundary ``last`` by each ``tau`` in ``[last +
+    min_len, n - min_len]``, so the work grows with the feasible rows."""
+    stack = [(np.zeros((1, n - 1), bool), np.zeros(1, np.intp), 0)]  # rows, last, m
+    batch = []  # blocks yielded together, up to _ROWS rows
+    while stack:
+        rows, last, m = stack.pop()
+        if sum(map(len, batch)) + len(rows) > _ROWS:
+            yield np.concatenate(batch)
+            batch = []
+        batch.append(rows)
+        if m == cap:
+            continue
+        counts = np.maximum(n - 2 * min_len + 1 - last, 0)  # children per row
+        parent = np.repeat(np.arange(len(rows)), counts)
+        # Each parent's children count tau up from last + min_len.
+        tau = last[parent] + min_len + np.arange(parent.size)
+        tau -= np.repeat(np.cumsum(counts) - counts, counts)
+        kids = rows[parent]
+        kids[np.arange(parent.size), tau - 1] = True
+        stack.extend((kids[i:i + _ROWS], tau[i:i + _ROWS], m + 1)
+                     for i in reversed(range(0, parent.size, _ROWS)))
+    yield np.concatenate(batch)
 
-    def extend(prefix: tuple[int, ...], last: int) -> Iterator[tuple[int, ...]]:
-        if n - last >= min_len:
-            yield prefix
-        if len(prefix) < max_m:
-            for tau in range(last + min_len, n - min_len + 1):
-                yield from extend(prefix + (tau,), tau)
 
-    yield from extend((), 0)
+def _scored(fitness: Fitness, rows: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """``fitness``'s scores of the inclusion bit ``rows``, and their counts."""
+    at, cols = np.divmod(np.flatnonzero(rows), rows.shape[1])  # nonzero is slower in 2-D
+    m = np.bincount(at, minlength=len(rows))
+    return np.asarray(fitness(Regimes.from_flat(m, cols + 1, n)), float), m
+
+
+def _least(scores: np.ndarray, m: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """Indices of ``rows`` by ``(score, m, taus)``: complemented bits read
+    big-endian sort as :func:`_keys` keys, at equal ``m`` as tuples do."""
+    return np.lexsort((~rows @ (1 << np.arange(rows.shape[1]))[::-1], m, scores))
 
 
 def exhaustive_optimize(
@@ -335,12 +368,13 @@ def exhaustive_optimize(
         raise DomainError("max_m must be >= 0")
     reference = _reference(series, model)
     fitness = _fallback(score_function(series, model), reference)
-    keys = []  # the least per chunk
+    keys = []  # the least (score, m, taus) per matrix of rows
     evaluations = 0
-    configs = _enumerate_configs(n, min_len, max_m)
-    while chunk := list(islice(configs, _CHUNK)):
-        evaluations += len(chunk)
-        keys.append(min(zip(fitness(Regimes(chunk, n)), map(len, chunk), chunk)))
+    for rows in _feasible_rows(n, min_len, max_m):
+        scores, m = _scored(fitness, rows, n)
+        i = _least(scores, m, rows)[0]
+        keys.append((float(scores[i]), int(m[i]), tuple((np.flatnonzero(rows[i]) + 1).tolist())))
+        evaluations += len(rows)
     score, _, taus = min(keys)
     return _report(reference, taus, score, evaluations)
 
@@ -831,6 +865,52 @@ def _draws(params: GAParams, n: int, child_count: int) -> Callable[[int], tuple]
     return replay
 
 
+def _dict_memo(fitness: Fitness, n: int, min_len: int, cap: int) -> tuple:
+    """A GA memo: ``ranked(pop)``, ``pop``'s rows best first and the best
+    one's sort key, ordered as ``(score, m, taus)``; ``score_of`` and
+    ``taus_of`` of a sort key; ``visited()``.  It scores a generation's new
+    rows by one call and keeps ``(score, m, key)`` by :func:`_keys` key."""
+    cache: dict[bytes, tuple] = {}
+
+    def ranked(pop: np.ndarray) -> tuple[np.ndarray, tuple]:
+        keys = _keys(pop)
+        missing = {key: row for row, key in enumerate(keys) if key not in cache}
+        if missing:
+            scores, m = _scored(fitness, pop[list(missing.values())], n)
+            for key, score, count in zip(missing, scores.tolist(), m.tolist()):
+                cache[key] = (score, count, key)
+        sort_keys = [cache[key] for key in keys]
+        order = sorted(range(len(keys)), key=sort_keys.__getitem__)
+        return pop[order], sort_keys[order[0]]
+
+    return ranked, itemgetter(0), lambda best: _taus_of(best[2], n - 1), cache.__len__
+
+
+def _table_memo(fitness: Fitness, n: int, min_len: int, cap: int) -> tuple:
+    """:func:`_dict_memo`'s memo from the whole feasible space, scored up
+    front and ranked once; a row's sort key is its rank, read by its code
+    ``bits @ 2**arange``, and a bitmap over codes marks the rows ranked."""
+    bit = 1 << np.arange(n - 1)
+    parts = [(*_scored(fitness, rows, n), rows) for rows in _feasible_rows(n, min_len, cap)]
+    scores, m, rows = map(np.concatenate, zip(*parts))
+    order = _least(scores, m, rows)
+    scores, codes = scores[order], rows[order] @ bit
+    rank = np.zeros(1 << (n - 1), np.intp)
+    rank[codes] = np.arange(codes.size)
+    seen = np.zeros(rank.size, bool)
+
+    def ranked(pop: np.ndarray) -> tuple[np.ndarray, int]:
+        code = pop @ bit
+        seen[code] = True
+        ranks = rank[code]
+        order = np.argsort(ranks, kind="stable")
+        return pop[order], int(ranks[order[0]])
+
+    return (ranked, lambda best: float(scores[best]),
+            lambda best: tuple((np.flatnonzero(codes[best] & bit) + 1).tolist()),
+            lambda: int(seen.sum()))
+
+
 def ga_minimize(
     fitness: Fitness,
     n: int,
@@ -845,13 +925,14 @@ def ga_minimize(
     ``fitness`` maps a :class:`~cetseg.core.Regimes` batch of distinct
     configurations, whose regimes all span at least ``min_len`` indices,
     to their scores (+inf where one cannot be scored).  A configuration's
-    score must not depend on the rest of the batch.  Each generation's
-    configurations not yet scored are collected in first-seen order and
-    scored by one call; each is scored once, and only its sort key
-    ``(score, m, key)`` is kept, keyed by ``key``, the bytes of its
-    complemented inclusion bits packed (:func:`_keys`).  At equal ``m``,
-    keys sort as boundary tuples do, so the order is that of ``(score,
-    m, taus)``; the winner's tuple is decoded from its key once.
+    score must not depend on the rest of the batch.  Each configuration
+    is scored once: where ``n <= 15``, the whole feasible space before the
+    first generation, by calls of at most 1,024 configurations, ranked
+    once by ``(score, m, taus)``; above, each generation's configurations
+    not yet scored, in first-seen order, by one call, keeping only each
+    one's sort key ``(score, m, key)`` by ``key``, its :func:`_keys` key,
+    which at equal ``m`` sorts as boundary tuples do.  The two give the
+    same search, result and count of configurations visited.
     Individuals are inclusion bitvectors over candidate boundaries
     ``1..n-1``, and a generation is a bool matrix ranked best first, one
     row per individual; infeasible children are repaired in place, never
@@ -881,21 +962,8 @@ def ga_minimize(
     for taus in initial:
         ChangepointConfiguration(taus)._check_n(n)
     pop_size = params.population_size
-    cache: dict[bytes, tuple] = {}
-
-    def ranked(pop: np.ndarray, keys: list[bytes]) -> tuple[np.ndarray, list[tuple]]:
-        """``pop``'s rows and their sort keys, best first."""
-        missing = {key: row for row, key in enumerate(keys) if key not in cache}
-        if missing:
-            fresh = pop[list(missing.values())]
-            rows, cols = np.divmod(np.flatnonzero(fresh), length)
-            counts = np.bincount(rows, minlength=len(fresh))
-            scores = fitness(Regimes.from_flat(counts, cols + 1, n))
-            for key, score, m in zip(missing, scores, counts.tolist()):
-                cache[key] = (score, m, key)
-        sort_keys = [cache[key] for key in keys]
-        order = sorted(range(len(keys)), key=sort_keys.__getitem__)
-        return pop[order], [sort_keys[i] for i in order]
+    memo = _table_memo if length <= _TABLE_LENGTH else _dict_memo
+    ranked, score_of, taus_of, visited = memo(fitness, n, min_len, cap)
 
     elite_count = max(1, round(params.elite_fraction * pop_size))
     child_count = pop_size - elite_count
@@ -907,9 +975,8 @@ def ga_minimize(
     seeded = _bit_matrix([(), *initial], length)[:pop_size]
     pop[:len(seeded)] = seeded
     _repair(pop, n, min_len, cap)
-    pop, current = ranked(pop, _keys(pop))
-    best_key = current[0]
-    history = [best_key[0]]
+    pop, best = ranked(pop)
+    history = [score_of(best)]
     stagnation = 0
     generations = 0
 
@@ -921,25 +988,17 @@ def ga_minimize(
         # a crossed child takes it, the first parent's elsewhere.
         children = first ^ ((first ^ second) & take) ^ flips
         _repair(children, n, min_len, cap)
-        elite = [key[2] for key in current[:elite_count]]
-        pop, current = ranked(np.concatenate((pop[:elite_count], children)),
-                              elite + _keys(children))
+        pop, gen_best = ranked(np.concatenate((pop[:elite_count], children)))
         generations = gen
-        gen_key = current[0]
-        if gen_key[0] < best_key[0]:
-            stagnation = 0
-        else:
-            stagnation += 1
-        if gen_key < best_key:
-            best_key = gen_key
-        history.append(best_key[0])
+        stagnation = 0 if score_of(gen_best) < score_of(best) else stagnation + 1
+        best = min(best, gen_best)
+        history.append(score_of(best))
         if stagnation >= params.stagnation_limit:
             break
 
-    if best_key[0] == math.inf:
+    if score_of(best) == math.inf:
         raise DegenerateFitError("every configuration encountered fits the data exactly")
-    return GARun(_taus_of(best_key[2], length), best_key[0], tuple(history), generations,
-                 len(cache))
+    return GARun(taus_of(best), score_of(best), tuple(history), generations, visited())
 
 
 def ga_search(

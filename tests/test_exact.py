@@ -341,7 +341,8 @@ def test_score_bounds_hold_at_every_count(series, slack, stretch):
     partitions = search._Partitions(rss, per_regime, per_boundary, min_len)
     top = n // min_len - 1
     totals = {}  # (R, A) of every configuration, by count
-    for taus in search._enumerate_configs(n, min_len, top):
+    for row in np.concatenate(list(search._feasible_rows(n, min_len, top))):
+        taus = tuple((np.flatnonzero(row) + 1).tolist())
         totals.setdefault(len(taus), []).append(partitions.totals(taus))
     counts = np.arange(top + 1)
     low = np.array([min(r for r, _ in totals[j]) for j in counts])

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import math
 from dataclasses import replace
@@ -27,8 +28,8 @@ from cetseg.search import (
     EXHAUSTIVE_MAX_N,
     GAParams,
     _bit_matrix,
-    _enumerate_configs,
     _fallback,
+    _feasible_rows,
     _keys,
     _reference,
     _repair,
@@ -149,6 +150,12 @@ class TestEvaluate:
             min_segment_length(ModelSpec("long-memory", "wn"))
 
 
+def _feasible_configs(n, min_len, max_m):
+    """The boundary tuples of every row ``_feasible_rows`` yields, in order."""
+    return [tuple((np.flatnonzero(row) + 1).tolist())
+            for rows in _feasible_rows(n, min_len, max_m) for row in rows]
+
+
 class TestEnumeration:
     @pytest.mark.parametrize("n", [5, 8, 11])
     @pytest.mark.parametrize("min_len", [1, 2, 3])
@@ -160,19 +167,35 @@ class TestEnumeration:
                     bounds = (0,) + taus + (n,)
                     if all(b - a >= min_len for a, b in zip(bounds, bounds[1:])):
                         expected.add(taus)
-            got = list(_enumerate_configs(n, min_len, max_m))
+            got = _feasible_configs(n, min_len, max_m)
             assert len(got) == len(set(got))  # no duplicates
             assert set(got) == expected
 
     def test_full_space_size(self):
-        assert sum(1 for _ in _enumerate_configs(12, 1, 11)) == 2**11
+        assert len(_feasible_configs(12, 1, 11)) == 2**11
 
     def test_matches_composition_enumerator(self):
         for n in (6, 9, 13):
             for min_len in (1, 2, 3):
-                assert set(_enumerate_configs(n, min_len, n - 1)) == set(
+                assert set(_feasible_configs(n, min_len, n - 1)) == set(
                     _segmentations(n, min_len)
                 )
+
+    @pytest.mark.parametrize("bound", [1, 5, 64, search._ROWS])
+    @pytest.mark.parametrize("n, min_len, max_m", [(12, 1, 11), (16, 2, 15), (20, 3, 19),
+                                                   (14, 1, 3), (9, 5, 8)])
+    def test_rows_are_distinct_within_the_row_bound(self, monkeypatch, bound, n, min_len,
+                                                    max_m):
+        monkeypatch.setattr(search, "_ROWS", bound)
+        matrices = list(_feasible_rows(n, min_len, max_m))
+        assert all(rows.dtype == bool and rows.shape[1] == n - 1 for rows in matrices)
+        assert all(1 <= len(rows) <= bound for rows in matrices)
+        rows = np.concatenate(matrices)
+        assert len(np.unique(rows, axis=0)) == len(rows)
+        configs = _feasible_configs(n, min_len, max_m)
+        assert all(len(taus) <= max_m for taus in configs)
+        assert set(configs) == {taus for taus in _segmentations(n, min_len)
+                                if len(taus) <= max_m}
 
 
 def _greedy_repair(row, n, min_len, max_m):
@@ -277,6 +300,19 @@ class TestMemoKeys:
         assert (key_a == key_b) == (a == b)
         assert _taus_of(key_a, n - 1) == a
         assert _taus_of(key_b, n - 1) == b
+
+
+@given(length=st.integers(0, 24), seed=st.integers(0, 2**32 - 1))
+@settings(max_examples=100, deadline=None)
+def test_least_orders_rows_by_score_then_count_then_boundaries(length, seed):
+    rng = np.random.default_rng(seed)
+    rows = np.unique(rng.random((40, length)) < rng.random(), axis=0)
+    rng.shuffle(rows)
+    scores = rng.choice([-1.0, 0.0, 2.0, math.inf], len(rows))
+    m = rows.sum(axis=1)
+    taus = [tuple((np.flatnonzero(row) + 1).tolist()) for row in rows]
+    expected = sorted(range(len(rows)), key=lambda i: (scores[i], m[i], taus[i]))
+    assert search._least(scores, m, rows).tolist() == expected
 
 
 def test_fallback_fits_only_undecided_rows_each_with_its_own_tuple():
@@ -745,3 +781,174 @@ def test_golden_ga_trajectory_at_the_paper_length(case):
     assert repr(report.best.score) == score
     assert report.generations_run == generations
     assert report.evaluations_count == evaluations
+
+
+# Trajectories at the oracle's lengths, where the GA ranks a table of the
+# whole feasible space: the oracle-short families on short AR(1) series
+# (phi 0.4), searched with the acceptance suite's budgets, as (family,
+# N, taus, repr(best score), generations run, distinct configurations
+# visited, digest of the score history, configurations enumerated by
+# the exhaustive search, whose answer is the GA's on every case here).
+# The digest is the first 16 hex digits of the SHA-256 of the history's
+# repr, so one changed bit of any entry moves it.
+SHORT_GOLDEN = (
+    (("mean-shift", "ar1", "bic"), 12, (1, 2, 3, 4, 5, 6, 8, 9, 10, 11),
+     "-32.82737898508661", 160, 2042, "dfd142a8cd23acba", 2048),
+    (("mean-shift", "ar1", "bic"), 13, (1, 2, 3, 4, 5, 6, 7, 8, 9, 11, 12),
+     "17.601363682672492", 165, 3963, "cb487db0a0187f0b", 4096),
+    (("mean-shift", "ar1", "bic"), 14, (1, 2, 3, 4, 5, 6, 8, 9, 10, 11, 12, 13),
+     "24.8251128964424", 294, 7560, "684ac7dfc4831cb0", 8192),
+    (("mean-shift", "ar1", "mdl"), 12, (1, 2, 3, 4, 5, 6, 8, 9, 10, 11),
+     "-100.63690102500485", 164, 2041, "debbdbe023ffb6dc", 2048),
+    (("mean-shift", "ar1", "mdl"), 13, (1, 2, 4, 5, 6, 7, 8, 9, 10, 11, 12),
+     "-57.45639387416231", 162, 3893, "ed277c9a3b89411b", 4096),
+    (("mean-shift", "ar1", "mdl"), 14, (1, 2, 3, 4, 6, 7, 8, 9, 10, 11, 12, 13),
+     "5.239571572390744", 180, 6705, "9578bf378ce19586", 8192),
+    (("trend-shift", "wn", "bic"), 12, (), "31.482522752475642", 30, 19, "3e508b4f8ee71c48", 19),
+    (("trend-shift", "wn", "bic"), 13, (4, 7, 10), "37.50277886329075", 30, 28,
+     "b5e89d060d29bbee", 28),
+    (("trend-shift", "wn", "bic"), 14, (11,), "22.802318398192153", 30, 40,
+     "cf27d7a28715714b", 41),
+    (("trend-shift", "wn", "mdl"), 12, (4, 9), "25.83456468629786", 30, 19,
+     "7604aae869307f76", 19),
+    (("trend-shift", "wn", "mdl"), 13, (4, 7, 10), "17.679975481696687", 30, 28,
+     "24d49304def1894b", 28),
+    (("trend-shift", "wn", "mdl"), 14, (), "33.3381320315132", 30, 39, "c8d1e534fe3cb355", 41),
+    (("fixed-slope", "ar1", "bic"), 12, (3, 6, 8), "38.497866172276076", 31, 84,
+     "a74cc2f73b19a221", 89),
+    (("fixed-slope", "ar1", "bic"), 13, (2, 8, 11), "35.69068356635312", 30, 123,
+     "5401a5ebf066d34f", 144),
+    (("fixed-slope", "ar1", "bic"), 14, (5, 7, 11), "20.463185631057264", 31, 143,
+     "20262f815e86c707", 233),
+    (("fixed-slope", "ar1", "mdl"), 12, (), "23.62075730317174", 30, 74, "b5ef9cf3cc1b4869", 89),
+    (("fixed-slope", "ar1", "mdl"), 13, (), "22.837630912304014", 30, 104,
+     "af21c79747024ef2", 144),
+    (("fixed-slope", "ar1", "mdl"), 14, (), "37.49887836549935", 30, 157,
+     "0b74f8dc21c0f978", 233),
+    (("variance-shift", "wn", "bic"), 12, (), "33.27342045029692", 30, 78,
+     "c67f4a911ba84a4b", 89),
+    (("variance-shift", "wn", "bic"), 13, (), "45.49643083543781", 30, 106,
+     "5bef068bcd04ae26", 144),
+    (("variance-shift", "wn", "bic"), 14, (), "44.27782759544617", 30, 136,
+     "d5bca730d4a6c700", 233),
+    (("variance-shift", "wn", "mdl"), 12, (3,), "24.675225075758256", 30, 77,
+     "cbe3b6d0add9db7a", 89),
+    (("variance-shift", "wn", "mdl"), 13, (), "41.826824252855765", 30, 104,
+     "fae56b3f7d4b11ab", 144),
+    (("variance-shift", "wn", "mdl"), 14, (3,), "40.70188202574158", 30, 136,
+     "871364f6c74d6b5a", 233),
+)
+
+
+def _short_case(n, seed, mean):
+    """A short oracle series and the acceptance suite's budget for ``mean``."""
+    from cetseg.simulate import SimSpec, simulate_series
+
+    series = simulate_series(SimSpec(n=n, phi=0.4, sigma=1.0, seed=seed, first_year=1900))
+    if mean == "mean-shift":
+        return series, patient_ga(seed=seed)
+    return series, lean_ga(seed=seed)
+
+
+def _pin(report):
+    """What a short-series pin records of a search report."""
+    digest = hashlib.sha256(repr(report.score_history).encode()).hexdigest()[:16]
+    return (report.best.config.taus, repr(report.best.score), report.generations_run,
+            report.evaluations_count, digest)
+
+
+@pytest.mark.parametrize("case", range(len(SHORT_GOLDEN)),
+                         ids=lambda i: "-".join(SHORT_GOLDEN[i][0]) + f"-{SHORT_GOLDEN[i][1]}")
+def test_golden_ga_trajectory_at_oracle_lengths(case):
+    family, n, taus, score, generations, evaluations, digest, space = SHORT_GOLDEN[case]
+    f = ("mean-shift", "trend-shift", "fixed-slope", "variance-shift").index(family[0])
+    seed = 500 + 10 * f + 3 * ("bic", "mdl").index(family[2]) + n
+    series, params = _short_case(n, seed, family[0])
+    model = ModelSpec(*family)
+    assert _pin(ga_optimize(series, model, params)) == (
+        taus, score, generations, evaluations, digest)
+    exact = exhaustive_optimize(series, model)
+    assert _pin(exact)[:2] == (taus, score)
+    assert exact.evaluations_count == space
+
+
+def test_golden_ga_trajectories_with_a_cap_a_seed_and_knots():
+    from cetseg.joinpin import joinpin_search
+
+    series, params = _short_case(14, 601, "fixed-slope")
+    capped = ga_optimize(series, ModelSpec("fixed-slope", "ar1", "bic"), params, max_m=2)
+    assert _pin(capped) == ((5, 7), "43.957157880203845", 30, 55, "59dd80d790013c49")
+    series, params = _short_case(13, 602, "trend-shift")
+    seeded = ga_optimize(series, ModelSpec("trend-shift", "ar1", "mdl"), params,
+                         initial=[ChangepointConfiguration((4, 9))])
+    assert _pin(seeded) == ((5, 9), "23.471251380321604", 31, 27, "6925d9392dac1a4f")
+    series, params = _short_case(14, 603, "joinpin")
+    knots = joinpin_search(series, 1.0, params=params)
+    assert _pin(knots) == ((3,), "36.95353578185338", 30, 131, "f92f233263091647")
+
+
+# The family whose segment rule a memo-equivalence case searches under,
+# by min_len.
+_BY_MIN_LEN = {1: ("mean-shift", "ar1"), 2: ("fixed-slope", "ar1"), 3: ("trend-shift", "ar1"),
+               4: ("variance-shift", "wn")}
+
+
+def _partly_undecided(series, model, seed):
+    """The fitness :func:`ga_search` builds from a fast score that leaves
+    about one row in 16 undecided (NaN), and a reference fit that is
+    degenerate on a third of the tuples it is asked for."""
+    fast = score_function(series, model)
+
+    def undecided(regimes):
+        scores = np.asarray(fast(regimes), float)
+        ends = np.bincount(regimes.row, regimes.ends, regimes.m.size)
+        scores[ends % 16 == seed % 16] = np.nan
+        return scores
+
+    def reference(taus):
+        if sum(taus) % 3 == 0:
+            raise DegenerateFitError("a stand-in exact fit")
+        return evaluate(series, model, ChangepointConfiguration(taus))
+
+    return _fallback(undecided, reference)
+
+
+def _tied(seed):
+    """A fitness under which most configurations tie: four finite values
+    and +inf, by a hash of the boundary tuple."""
+    values = (0.0, 1.0, -2.5, 1.0, math.inf)
+    return lambda regimes: [values[hash((seed, *regimes.taus(i))) % 5]
+                            for i in range(regimes.m.size)]
+
+
+@given(n=st.integers(2, 15), min_len=st.integers(1, 4),
+       max_m=st.one_of(st.none(), st.integers(0, 3)), seed=st.integers(0, 2**16),
+       tied=st.booleans(), population=st.integers(2, 30), generations=st.integers(0, 25),
+       stagnation=st.integers(1, 10), mutation=st.sampled_from([0.0, 1.0, 4.0]),
+       crossover=st.sampled_from([0.0, 0.8, 1.0]))
+@settings(max_examples=60, deadline=None)
+def test_table_memo_matches_the_dict_memo(n, min_len, max_m, seed, tied, population,
+                                          generations, stagnation, mutation, crossover):
+    assume(n >= 2 * min_len)
+    if tied:
+        fitness = _tied(seed)
+    else:
+        model = ModelSpec(*_BY_MIN_LEN[min_len], ("bic", "mdl")[seed % 2])
+        fitness = _partly_undecided(ar1_series(seed, n), model, seed)
+    params = GAParams(population_size=population, max_generations=generations,
+                      stagnation_limit=stagnation, mutation_rate=mutation,
+                      crossover_prob=crossover, seed=seed)
+
+    def run():
+        try:
+            return ga_minimize(fitness, n, min_len, params, max_m=max_m)
+        except DegenerateFitError:
+            return DegenerateFitError
+
+    table = run()
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(search, "_TABLE_LENGTH", 0)  # every length takes the dict memo
+        by_dict = run()
+    assert table == by_dict
+    if table is not DegenerateFitError:
+        assert repr(table.score_history) == repr(by_dict.score_history)
