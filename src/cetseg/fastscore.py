@@ -11,17 +11,18 @@ on.  This module owns the per-regime formulas below, and the penalties
 come from :mod:`cetseg.penalties`.
 
 Where a regime's terms depend only on its start and end, a scorer
-tabulates them once per search for every regime of at least the
-family's shortest length (:func:`_regime_terms`), as segment-
+tabulates them once per search (:func:`regime_tables`), as segment-
 neighbourhood search does: the mean-shift+ar1, trend-shift+ar1 and
 trend-shift+wn scorers.  The terms are the regime's RSS and, for AR(1)
 errors, the lag-1 sum of its residuals inside it and its first and last
 residual, each by the operations of the formulas below in their order,
-so a table score is the prefix-sum score bit for bit.  A batch score is
-then one gather per table, the product straddling each boundary and
-the per-configuration sums.  The trend-shift+wn table is
-:func:`trend_rss_table`, which the exact search builds and hands to its
-scorer.  The fixed-slope scorer (whose slope is pooled over a
+so a table score is the prefix-sum score bit for bit.  Every term is an
+``(N+1, N+1)`` table with entry ``[e, s]`` for the regime ``s+1..e``,
+the layout the exact search's DP reads; the RSS is +inf for regimes
+shorter than the family's minimum.  A batch score is then one gather
+per table, the product straddling each boundary and the
+per-configuration sums.  The exact search builds its table and hands it
+to its scorer.  The fixed-slope scorer (whose slope is pooled over a
 configuration's regimes), the variance-shift scorer and
 :func:`joinpin_rss` gather prefix sums on every call.
 
@@ -64,8 +65,9 @@ for positivity.  Variance shifts check each regime's sum of squares
 against the prefix sum it is taken from.  Exactly constant or exactly
 linear data land in these checks, so degenerate fits are always left to
 the reference.
-Scorers do not validate configurations: a table scorer reads a regime
-shorter than the family's minimum from another regime's entry.
+Scorers do not validate configurations: for a regime shorter than the
+family's minimum, a table scorer reads an RSS of +inf and junk lag-1
+terms.
 """
 
 from __future__ import annotations
@@ -79,7 +81,7 @@ from .core import ErrorModel, MeanStructure, ModelSpec, Regimes, TimeSeries
 from .estimation import LOG_2PI
 from .penalties import penalty_function
 
-__all__ = ["score_function", "trend_rss_table", "by_length", "row_blocks", "joinpin_rss"]
+__all__ = ["score_function", "regime_tables", "by_length", "row_blocks", "joinpin_rss"]
 
 # A batch of configurations -> one value each, NaN where the reference
 # fit must decide.
@@ -111,27 +113,24 @@ def _log(values: np.ndarray, valid: np.ndarray) -> np.ndarray:
 
 
 def score_function(series: TimeSeries, model: ModelSpec,
-                   rss_table: tuple[np.ndarray, float] | None = None) -> Scorer:
+                   tables: tuple[list[np.ndarray], float] | None = None) -> Scorer:
     """Fast scorer of ``model`` on ``series``: a :class:`~cetseg.core.Regimes`
     batch -> its scores, NaN where the reference fit must score.
 
-    ``rss_table`` is the series' :func:`trend_rss_table` for trend-shift+wn,
-    where the caller has built it; the scorer then reads that array."""
+    ``tables`` is the series' :func:`regime_tables` for a mean shift or
+    trend shift, where the caller has built them; the scorer then reads
+    those arrays."""
     penalty = penalty_function(model, series.n)
     values, structure = series.values, model.mean_structure
     if structure is MeanStructure.VARIANCE_SHIFT:
         return _variance_scorer(values, penalty)
     if structure is MeanStructure.FIXED_SLOPE:
         return _fixed_slope_scorer(values, penalty)
-    min_len = model.family.min_len
-    if model.error_model is ErrorModel.AR1:
-        offsets, tables, floor = _ar1_tables(values, min_len,
-                                             structure is MeanStructure.TREND_SHIFT)
-    else:
-        table, floor = rss_table if rss_table is not None else trend_rss_table(values, min_len)
-        offsets = np.arange(0, table.size, table.shape[1])
-        tables = [table.reshape(-1)]
-    return _table_scorer(values.size, offsets, tables, floor, penalty)
+    if tables is None:
+        tables = regime_tables(values, model.family.min_len,
+                               structure is MeanStructure.TREND_SHIFT,
+                               model.error_model is ErrorModel.AR1)
+    return _table_scorer(values.size, *tables, penalty)
 
 
 def _centred_sums(values: np.ndarray):
@@ -197,16 +196,14 @@ def _variance_scorer(values: np.ndarray, penalty) -> Scorer:
     return score
 
 
-def _table_scorer(n: int, offsets: np.ndarray, tables: list[np.ndarray], floor: float,
-                  penalty) -> Scorer:
-    """Scores read from per-regime tables: entry ``offsets[e] + s`` of each
-    table holds a term of the regime ``s+1..e`` (:func:`_regime_terms`),
-    its RSS and, for AR(1) errors, its inside lag-1 sum and its opening
-    and closing residuals."""
+def _table_scorer(n: int, tables: list[np.ndarray], floor: float, penalty) -> Scorer:
+    """Scores read from :func:`regime_tables`: entry ``[e, s]`` of each
+    table holds a term of the regime ``s+1..e``, its RSS and, for AR(1)
+    errors, its inside lag-1 sum and its opening and closing residuals."""
     ar1 = len(tables) > 1
 
     def score(regimes: Regimes) -> np.ndarray:
-        at = offsets[regimes.ends] + regimes.starts
+        at = regimes.ends * (n + 1) + regimes.starts
         terms = [np.take(table, at) for table in tables]
         rss = regimes.row_sums(terms[0])
         if not ar1:
@@ -281,49 +278,46 @@ def row_blocks(lo: int, hi: int, count: int = _BLOCKS) -> list[tuple[int, int]]:
     return [(a, b) for a, b in zip(cuts, cuts[1:]) if a < b]
 
 
-# Ends per run of the regime-term build, at most: a run costs about 40
+# Ends per run of the regime-table build, at most: a run costs about 40
 # numpy calls, and each of its six scratch buffers holds this many rows.
 _RUN_ROWS = 32
 
 
-def _runs(n: int, min_len: int) -> list[tuple[int, int]]:
-    """The :func:`row_blocks` runs of ends a regime-term build takes."""
-    return row_blocks(min_len, n + 1, -(-(n + 1 - min_len) // _RUN_ROWS))
+def regime_tables(values: np.ndarray, min_len: int, trend: bool,
+                  ar1: bool) -> tuple[list[np.ndarray], float]:
+    """The per-regime terms of a mean shift or trend shift, and the
+    scorers' trust floor.
 
-
-def _regime_terms(centred, min_len: int, trend: bool,
-                  outs: list[tuple[np.ndarray, ...]]) -> None:
-    """Write the terms of every regime, one run of ends at a time.
-
-    ``centred`` is the series' :func:`_centred_sums`.  ``outs`` holds, per
-    run ``a..b-1`` of :func:`_runs`, the ``(b - a, b - min_len)`` arrays to
-    write: entry ``[e - a, s]`` of each is a term of the regime ``s+1..e``,
-    where ``e - s >= min_len`` (other entries are left junk).  The terms
-    are the regime's RSS and, where a run has four arrays (AR(1) errors),
-    the lag-1 sum of its residuals inside it, its opening residual and its
-    closing residual.  Each entry is computed by the operations, in the
-    order, that the per-regime score formulas apply to one regime's prefix
-    sums, with the mean shift's slope the float ``0.0``, so an entry is
-    that regime's term bit for bit, whatever run it is in.
+    Each term is an ``(N+1, N+1)`` table whose entry ``[e, s]`` belongs
+    to the regime ``s+1..e``: its RSS and, for AR(1) errors, the lag-1
+    sum of its residuals inside it, its opening residual and its closing
+    residual.  The RSS is +inf where ``e - s < min_len``; the other
+    tables are left junk there.  Each entry is computed by the
+    operations, in the order, that the per-regime score formulas apply
+    to one regime's prefix sums, with the mean shift's slope the float
+    ``0.0``, so an entry is that regime's term bit for bit.  Only the
+    lower part is computed, one :func:`row_blocks` run of ends
+    ``a..b-1`` at a time (columns up to ``b - 1 - min_len``).
     """
-    x, t, (X, XX, T, TX), _ = centred
+    x, t, (X, XX, T, TX), floor = _centred_sums(values)
     n = x.size
     d = np.arange(-n, n + 1.0)
     length = by_length(d)
     stt = by_length(d * (d * d - 1) / 12.0)
     gaps = by_length(d - 1.0)  # the pairs inside a regime
-    ar1 = len(outs[0]) > 1
+    tables = [np.empty((n + 1, n + 1)) for _ in range(4 if ar1 else 1)]
     if ar1:
         PXX, PX, PTX, PT, PTT = _pair_sums(x, t)
-    runs = _runs(n, min_len)
+    runs = row_blocks(min_len, n + 1, -(-(n + 1 - min_len) // _RUN_ROWS))
     area = max((b - a) * (b - min_len) for a, b in runs)
     scratch = [np.empty(area) for _ in range(6)]
-    for (a, b), (rss, *lag1) in zip(runs, outs):
+    for a, b in runs:
         e, s, pe = slice(a, b), slice(0, b - min_len), slice(a - 1, b - 1)
+        rss, *lag1 = (table[e, s] for table in tables)
         k = length[e, s]
         sx, u, v, w, q, p = (buffer[:k.size].reshape(k.shape) for buffer in scratch)
-        # Junk entries (regimes of fewer than min_len indices) may divide
-        # by zero or overflow.
+        # Entries of regimes shorter than min_len may divide by zero or
+        # overflow.
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             np.subtract(X[e, None], X[s], out=sx)
             if trend:
@@ -377,50 +371,8 @@ def _regime_terms(centred, min_len: int, trend: bool,
                 np.subtract(x_i, p, out=residual)
                 np.multiply(q, t_i, out=u)
                 residual -= u
-
-
-def trend_rss_table(values: np.ndarray, min_len: int) -> tuple[np.ndarray, float]:
-    """The table ``R[e, s]`` of the residual sums of squares of the line
-    fitted to indices ``s+1..e`` (+inf where ``e - s < min_len``), and the
-    scorers' trust floor.  Each entry is the term the trend-shift scorers
-    add for that regime (:func:`_regime_terms`); the trend-shift+wn scorer
-    reads this table, and so does the exact search.
-
-    Only the lower part is computed, one run of ends ``a..b-1`` at a time
-    (columns up to ``b - 1 - min_len``), into a +inf table."""
-    centred = _centred_sums(values)
-    n = values.size
-    table = np.full((n + 1, n + 1), math.inf)
-    runs = _runs(n, min_len)
-    _regime_terms(centred, min_len, True, [(table[a:b, :b - min_len],) for a, b in runs])
-    length = by_length(np.arange(-n, n + 1.0))
-    for a, b in runs:
-        rss = table[a:b, :b - min_len]
-        rss[length[a:b, :b - min_len] < min_len] = math.inf
-    return table, centred[3]
-
-
-def _ar1_tables(values: np.ndarray, min_len: int, trend: bool):
-    """The four :func:`_regime_terms` of every regime of a mean or trend
-    shift with AR(1) errors, and the trust floor.  Table ``j`` holds term
-    ``j`` of the regime ``s+1..e`` at ``offsets[e] + s``: each run of ends
-    is a block, each end a row of the block's width, so a table is about
-    ``(1 + 1/runs) / 2`` of the full square (2.3 MB for all four at
-    N = 362)."""
-    centred = _centred_sums(values)
-    n = values.size
-    runs = _runs(n, min_len)
-    offsets = np.zeros(n + 1, np.intp)
-    start = 0
-    for a, b in runs:
-        width = b - min_len
-        offsets[a:b] = start + width * np.arange(b - a)
-        start += width * (b - a)
-    tables = [np.empty(start) for _ in range(4)]
-    blocks = [tuple(table[offsets[a]:offsets[a] + (b - a) * (b - min_len)]
-                    .reshape(b - a, b - min_len) for table in tables) for a, b in runs]
-    _regime_terms(centred, min_len, trend, blocks)
-    return offsets, tables, centred[3]
+    tables[0][length < min_len] = math.inf
+    return tables, floor
 
 
 def joinpin_rss(values: np.ndarray) -> Scorer:

@@ -5,9 +5,12 @@ enumeration for tiny series, and a GA for the other families.
 trend-shift+wn and :func:`ga_optimize` otherwise.  Searches score
 configurations in batches with an O(m) fast score, for the families
 here the one :mod:`cetseg.fastscore` builds per search: from per-regime
-tables for mean shifts and trend shifts (the exact search hands its
-scorer the RSS table it built), from prefix sums for fixed slopes and
-variance shifts.  Exhaustive enumeration, and the GA up to N = 15,
+tables for mean shifts and trend shifts, from prefix sums for fixed
+slopes and variance shifts.  The tables
+(:func:`~cetseg.fastscore.regime_tables`) share one ``(N+1, N+1)``
+layout, entry ``[e, s]`` for the regime ``s+1..e``, which the DP's
+kernels read too; the exact search builds its RSS table once and hands
+it to its scorer.  Exhaustive enumeration, and the GA up to N = 15,
 score the whole feasible space in batches of at most 1,024; the GA
 above scores one batch per generation (the configurations it has not
 scored yet), the DP the winners of each pass, which a Lagrangian bound
@@ -25,7 +28,9 @@ Scorers take a :class:`~cetseg.core.Regimes` batch; a boundary tuple is
 made only for a reference fit and for a winner.
 
 The GA keeps each generation as a bool matrix of inclusion bits, one
-row per individual, best first; children are repaired in place.  Up
+row per individual, best first; children are repaired in place.  The
+first generation is drawn at random, with the empty configuration as
+its first row.  Up
 to N = 15 its memo is the rank of every feasible configuration, read
 by the row's bits as an integer; above, one sort key per configuration
 scored, keyed by the bytes of each row's complemented bits, packed,
@@ -56,7 +61,6 @@ from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass
 from functools import partial
-from itertools import chain
 from operator import itemgetter
 from typing import Callable, Iterator, Sequence
 
@@ -77,7 +81,7 @@ from .core import (
     TimeSeries,
 )
 from .estimation import LOG_2PI
-from .fastscore import by_length, row_blocks, score_function, trend_rss_table
+from .fastscore import by_length, regime_tables, row_blocks, score_function
 from .penalties import penalty_parts, penalty_value
 
 __all__ = [
@@ -545,7 +549,7 @@ def exact_optimize(
     The score is ``N log RSS`` plus a penalty, whose parts
     (:func:`~cetseg.penalties.penalty_parts`) are a term in ``m`` and
     ``A``, a sum over regimes and boundaries.  The RSS is a sum of
-    per-regime least squares (:func:`~cetseg.fastscore.trend_rss_table`,
+    per-regime least squares (:func:`~cetseg.fastscore.regime_tables`,
     built once and read by the batch scorer too), so
     segment-neighbourhood DP over them gives the least RSS for each
     changepoint count ``m``.  Where ``A`` is 0 (BIC), that is the answer
@@ -589,8 +593,8 @@ def exact_optimize(
     n = series.n
     min_len = min_segment_length(model)
     top = min(_changepoint_cap(n, min_len, max_m), n // min_len - 1)
-    table = trend_rss_table(series.values, min_len)
-    rss, floor = table
+    tables = regime_tables(series.values, min_len, True, False)
+    [rss], floor = tables
     # At every m, RSS >= least(RSS + beta m') - beta m for each beta of a
     # grid (beta = 0 gives the least RSS of all).  The bound falls in m, so
     # its value at top bounds the RSS at every count the search may return.
@@ -603,7 +607,7 @@ def exact_optimize(
                                "fast scorers' trust floor")
 
     reference = _reference(series, model)
-    fitness = _fallback(score_function(series, model, table), reference)
+    fitness = _fallback(score_function(series, model, tables), reference)
     scored: dict[tuple[int, ...], float] = {}
 
     def consider(configs) -> float:
@@ -700,15 +704,6 @@ def exact_optimize(
 
     score, _, taus = min((score, len(taus), taus) for taus, score in scored.items())
     return _report(reference, taus, score, len(scored))
-
-
-def _bit_matrix(configs: Sequence[tuple[int, ...]], length: int) -> np.ndarray:
-    """Inclusion bitvectors of ``configs`` over boundaries ``1..length``, one row each."""
-    bits = np.zeros((len(configs), length), dtype=bool)
-    counts = np.fromiter(map(len, configs), np.intp, len(configs))
-    taus = np.fromiter(chain.from_iterable(configs), np.intp, int(counts.sum()))
-    bits[np.repeat(np.arange(len(configs)), counts), taus - 1] = True
-    return bits
 
 
 def _repair(bits: np.ndarray, n: int, min_len: int, max_m: int) -> None:
@@ -918,7 +913,6 @@ def ga_minimize(
     params: GAParams = GAParams(),
     *,
     max_m: int | None = None,
-    initial: Sequence[tuple[int, ...]] = (),
 ) -> GARun:
     """Minimize ``fitness`` over boundary tuples of a length-``n`` series.
 
@@ -952,15 +946,12 @@ def ga_minimize(
     InfeasibleModelError
         If ``n < 2 * min_len``, i.e. no single changepoint is feasible.
     DomainError
-        If ``max_m < 0``, or an ``initial`` tuple is not a configuration
-        of a length-``n`` series.
+        If ``max_m < 0``.
     DegenerateFitError
         If every configuration encountered scores +inf.
     """
     cap = _changepoint_cap(n, min_len, max_m)
     length = n - 1
-    for taus in initial:
-        ChangepointConfiguration(taus)._check_n(n)
     pop_size = params.population_size
     memo = _table_memo if length <= _TABLE_LENGTH else _dict_memo
     ranked, score_of, taus_of, visited = memo(fitness, n, min_len, cap)
@@ -971,9 +962,7 @@ def ga_minimize(
     include_prob = min(1.0, 3.0 / n)
     rng = np.random.default_rng((params.seed, 0))
     pop = rng.random((pop_size, length)) < include_prob
-    # The empty configuration and the initial ones come first.
-    seeded = _bit_matrix([(), *initial], length)[:pop_size]
-    pop[:len(seeded)] = seeded
+    pop[0] = False  # the empty configuration
     _repair(pop, n, min_len, cap)
     pop, best = ranked(pop)
     history = [score_of(best)]
@@ -1003,7 +992,7 @@ def ga_minimize(
 
 def ga_search(
     fast: Fitness, reference: Reference, n: int, min_len: int, params: GAParams = GAParams(),
-    *, max_m: int | None = None, initial: Sequence[tuple[int, ...]] = (),
+    *, max_m: int | None = None,
 ) -> SearchReport:
     """:func:`ga_minimize` over ``fast``'s batch scores, each NaN replaced
     by the score of ``reference``, the tuple's reference fit (+inf where
@@ -1012,9 +1001,7 @@ def ga_search(
     raises, and :class:`RefitMismatchError` if the refit disagrees with
     the winner's search score by more than ``REFIT_RTOL``.
     """
-    run = ga_minimize(
-        _fallback(fast, reference), n, min_len, params, max_m=max_m, initial=initial
-    )
+    run = ga_minimize(_fallback(fast, reference), n, min_len, params, max_m=max_m)
     return _report(reference, run.taus, run.score, run.evaluations_count,
                    run.score_history, run.generations_run, params.seed)
 
@@ -1025,7 +1012,6 @@ def ga_optimize(
     params: GAParams = GAParams(),
     *,
     max_m: int | None = None,
-    initial: Sequence[ChangepointConfiguration] = (),
 ) -> SearchReport:
     """Minimize the penalized score over configurations with a GA.
 
@@ -1037,9 +1023,6 @@ def ga_optimize(
     strict improvement of the best score, or at ``max_generations``.
     The search is :func:`ga_search` with :func:`evaluate` as reference.
 
-    ``initial`` seeds known-good configurations into the starting
-    population (alongside the always-included empty configuration).
-
     Raises
     ------
     InfeasibleModelError
@@ -1050,11 +1033,8 @@ def ga_optimize(
     RefitMismatchError
         If the winner's reference refit disagrees with its search score.
     """
-    return ga_search(
-        score_function(series, model), _reference(series, model), series.n,
-        min_segment_length(model), params,
-        max_m=max_m, initial=[config.taus for config in initial],
-    )
+    return ga_search(score_function(series, model), _reference(series, model), series.n,
+                     min_segment_length(model), params, max_m=max_m)
 
 
 def solve(

@@ -17,7 +17,7 @@ from cetseg import DegenerateFitError, DomainError, InfeasibleModelError, ModelS
 from cetseg import search
 from cetseg.cli import main
 from cetseg.estimation import LOG_2PI
-from cetseg.fastscore import by_length, row_blocks, trend_rss_table
+from cetseg.fastscore import by_length, regime_tables, row_blocks
 from cetseg.io import series_to_csv
 from cetseg.penalties import penalty_parts
 from cetseg.search import (
@@ -264,16 +264,23 @@ def _full_rectangle_layers(rss, per_regime, per_boundary, min_len, mu, depth):
     return layers
 
 
+def _rss_table(values, min_len, trend=True):
+    [rss], _ = regime_tables(values, min_len, trend, False)
+    return rss
+
+
 @st.composite
 def kernel_tables(draw):
-    """``(rss, min_len)``: a trend-shift RSS table (min_len 2 or 3; at 1 a
-    one-point line is 0/0), or a random finite table of small integers, so
-    that ties are common, with +inf where ``e - s < min_len``."""
+    """``(rss, min_len)``: the RSS table of a series' regimes (a mean shift's
+    at min_len 1, a trend shift's at 2 or 3), or a random finite table of
+    small integers, so that ties are common, with +inf where
+    ``e - s < min_len``."""
     min_len = draw(st.integers(1, 3))
     n = draw(st.integers(max(4, 2 * min_len), 60))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    if min_len >= 2 and draw(st.booleans()):
-        return trend_rss_table(1e3 * rng.random() + rng.normal(size=n), min_len)[0], min_len
+    if draw(st.booleans()):
+        values = 1e3 * rng.random() + rng.normal(size=n)
+        return _rss_table(values, min_len, min_len >= 2), min_len
     rss = rng.integers(0, 4, (n + 1, n + 1)).astype(float)
     e, s = np.indices(rss.shape)
     rss[e - s < min_len] = math.inf
@@ -281,8 +288,8 @@ def kernel_tables(draw):
 
 
 @given(kernel_tables())
-@example((trend_rss_table(np.arange(4.0) ** 2, 2)[0], 2))  # N = 2 min_len: one row
-@example((trend_rss_table(np.arange(6.0) ** 2, 3)[0], 3))
+@example((_rss_table(np.arange(4.0) ** 2, 2), 2))  # N = 2 min_len: one row
+@example((_rss_table(np.arange(6.0) ** 2, 3), 3))
 @example((np.where(np.subtract.outer(np.arange(5), np.arange(5)) < 1, math.inf, 1.0), 1))
 @settings(max_examples=300, deadline=None)
 def test_blocked_kernels_match_the_full_table_bit_for_bit(case):
@@ -336,7 +343,7 @@ def test_lagrangian_bounds_the_least_cost_at_each_count(case, mu, betas):
 def test_score_bounds_hold_at_every_count(series, slack, stretch):
     n, model = series.n, ModelSpec("trend-shift", "wn", "mdl")
     min_len = search.min_segment_length(model)
-    rss, floor = trend_rss_table(series.values, min_len)
+    [rss], floor = regime_tables(series.values, min_len, True, False)
     by_count, per_regime, per_boundary = penalty_parts(model, n)
     partitions = search._Partitions(rss, per_regime, per_boundary, min_len)
     top = n // min_len - 1

@@ -13,13 +13,7 @@ from hypothesis import strategies as st
 from cetseg import ChangepointConfiguration, DegenerateFitError, ModelSpec, TimeSeries, fastscore, search
 from cetseg.core import Regimes
 from cetseg.estimation import LOG_2PI
-from cetseg.fastscore import (
-    _ar1_tables,
-    _centred_sums,
-    joinpin_rss,
-    score_function,
-    trend_rss_table,
-)
+from cetseg.fastscore import _centred_sums, joinpin_rss, regime_tables, score_function
 from cetseg.joinpin import _neg2loglik, default_knot_penalty, fit_joinpin, joinpin_search
 from cetseg.penalties import penalty_function
 from cetseg.search import (
@@ -181,12 +175,12 @@ def test_exact_search_builds_its_rss_table_once(monkeypatch, penalty):
     # the exact search's scorer reads the table the search built
     built = []
 
-    def counted(values, min_len):
+    def counted(values, min_len, trend, ar1):
         built.append(min_len)
-        return trend_rss_table(values, min_len)
+        return regime_tables(values, min_len, trend, ar1)
 
-    monkeypatch.setattr(fastscore, "trend_rss_table", counted)
-    monkeypatch.setattr(search, "trend_rss_table", counted)
+    monkeypatch.setattr(fastscore, "regime_tables", counted)
+    monkeypatch.setattr(search, "regime_tables", counted)
     model = ModelSpec("trend-shift", "wn", penalty)
     search.exact_optimize(_cet_like(1), model)
     assert built == [3]
@@ -325,7 +319,7 @@ def _check_rss_table(series, configs, penalty):
     each configuration as the trend-shift+wn batch scorer does, bit for bit."""
     n = series.n
     model = ModelSpec("trend-shift", "wn", penalty)
-    table, _ = trend_rss_table(series.values, min_segment_length(model))
+    [table], _ = regime_tables(series.values, min_segment_length(model), True, False)
     scores = score_function(series, model)(Regimes(configs, n))
     penalties = penalty_function(model, n)(Regimes(configs, n))
     checked = 0
@@ -354,43 +348,6 @@ def test_rss_table_matches_the_trend_scorer_at_the_paper_length(penalty):
     series = _cet_like(1)
     configs = [(), (41, 80, 329), *_random_configs(series, 3, 200, 5)]
     assert _check_rss_table(series, configs, penalty) == len(configs)
-
-
-def _trend_terms(values, min_len):
-    """Every regime ``(s, e)`` with ``e - s >= min_len``, and its RSS term by
-    the operations ``trend_lines`` applies to a batch's flat regime arrays."""
-    n = values.size
-    _, _, sums, _ = _centred_sums(values)
-    e, s = np.nonzero(np.subtract.outer(np.arange(n + 1), np.arange(n + 1)) >= min_len)
-    sx, sxx, st, stx = sums[:, e] - sums[:, s]
-    k = e - s
-    stt = np.arange(n + 1.0)
-    stt = stt * (stt * stt - 1) / 12.0
-    stx = stx - st * sx / k
-    q = stx / stt[k]
-    return e, s, sxx - sx * sx / k - stx * q
-
-
-@given(n=st.integers(4, 80), offset=st.floats(0.0, 1e6), scale=st.floats(1e-3, 1e3),
-       seed=st.integers(0, 2**32 - 1), min_len=st.integers(2, 3))
-@settings(max_examples=200, deadline=None)
-def test_rss_table_is_every_regime_term_and_inf_elsewhere(n, offset, scale, seed, min_len):
-    values = offset + scale * np.random.default_rng(seed).standard_normal(n)
-    table, _ = trend_rss_table(values, min_len)
-    e, s, terms = _trend_terms(values, min_len)
-    assert np.array_equal(table[e, s], terms)
-    rest = np.ones(table.shape, bool)
-    rest[e, s] = False
-    assert np.all(table[rest] == math.inf)
-
-
-@pytest.mark.parametrize("seed", [1, 7])
-def test_rss_table_is_every_regime_term_at_the_paper_length(seed):
-    values = _cet_like(seed).values
-    table, _ = trend_rss_table(values, 3)
-    e, s, terms = _trend_terms(values, 3)
-    assert np.array_equal(table[e, s], terms)
-    assert np.isinf(table).sum() == table.size - terms.size
 
 
 def _ar1_terms(values, min_len, trend):
@@ -422,6 +379,35 @@ def _ar1_terms(values, min_len, trend):
     pxx, px, ptx, pt, ptt = pairs[:, last] - pairs[:, s]
     inside = pxx - p * px - q * ptx + (last - s) * p * p + p * q * pt + q * q * ptt
     return e, s, (rss, inside, x[s] - p - q * t[s], x[last] - p - q * t[last])
+
+
+# (trend, AR(1) errors, min_len) of the RSS tables: trend-shift+wn, and
+# the mean-shift+ar1 and trend-shift+ar1 scorers' tables.
+RSS_TABLES = [(True, False, 2), (True, False, 3), (False, True, 1), (True, True, 3)]
+
+
+@given(n=st.integers(4, 80), offset=st.floats(0.0, 1e6), scale=st.floats(1e-3, 1e3),
+       seed=st.integers(0, 2**32 - 1), family=st.sampled_from(RSS_TABLES))
+@settings(max_examples=200, deadline=None)
+def test_rss_table_is_every_regime_term_and_inf_elsewhere(n, offset, scale, seed, family):
+    # a DP over the table reads +inf for every regime shorter than min_len
+    trend, ar1, min_len = family
+    values = offset + scale * np.random.default_rng(seed).standard_normal(n)
+    [table, *_], _ = regime_tables(values, min_len, trend, ar1)
+    e, s, (terms, *_) = _ar1_terms(values, min_len, trend)
+    assert np.array_equal(table[e, s], terms)
+    rest = np.ones(table.shape, bool)
+    rest[e, s] = False
+    assert np.all(table[rest] == math.inf)
+
+
+@pytest.mark.parametrize("seed", [1, 7])
+def test_rss_table_is_every_regime_term_at_the_paper_length(seed):
+    values = _cet_like(seed).values
+    [table], _ = regime_tables(values, 3, True, False)
+    e, s, (terms, *_) = _ar1_terms(values, 3, True)
+    assert np.array_equal(table[e, s], terms)
+    assert np.isinf(table).sum() == table.size - terms.size
 
 
 def _same_bits(a, b):
@@ -464,10 +450,10 @@ def conditioned_series(draw):
 def test_ar1_tables_are_every_regime_term_bit_for_bit(case):
     # the AR(1) scorers gather these entries in place of the formulas
     trend, min_len, values = case
-    offsets, tables, _ = _ar1_tables(values, min_len, trend)
+    tables, _ = regime_tables(values, min_len, trend, True)
     e, s, terms = _ar1_terms(values, min_len, trend)
     for table, term in zip(tables, terms):
-        assert _same_bits(table[offsets[e] + s], term)
+        assert _same_bits(table[e, s], term)
 
 
 @pytest.mark.parametrize("seed", [1, 7])
@@ -475,7 +461,7 @@ def test_ar1_tables_are_every_regime_term_bit_for_bit(case):
 def test_ar1_tables_are_every_regime_term_at_the_paper_length(seed, trend):
     values = _cet_like(seed).values
     min_len = 3 if trend else 1
-    offsets, tables, _ = _ar1_tables(values, min_len, trend)
+    tables, _ = regime_tables(values, min_len, trend, True)
     e, s, terms = _ar1_terms(values, min_len, trend)
     for table, term in zip(tables, terms):
-        assert _same_bits(table[offsets[e] + s], term)
+        assert _same_bits(table[e, s], term)

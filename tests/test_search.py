@@ -27,7 +27,6 @@ from cetseg import search
 from cetseg.search import (
     EXHAUSTIVE_MAX_N,
     GAParams,
-    _bit_matrix,
     _fallback,
     _feasible_rows,
     _keys,
@@ -50,6 +49,14 @@ SEARCH_FAMILIES = (
     ("fixed-slope", "ar1"),
     ("variance-shift", "wn"),
 )
+
+
+def _bit_matrix(configs, length):
+    """Inclusion bitvectors of ``configs`` over boundaries ``1..length``, one row each."""
+    bits = np.zeros((len(configs), length), dtype=bool)
+    for row, taus in zip(bits, configs):
+        row[np.array(taus, np.intp) - 1] = True
+    return bits
 
 
 def ar1_series(seed: int, n: int, phi: float = 0.5) -> TimeSeries:
@@ -436,9 +443,9 @@ class TestGA:
         assert hist[-1] == report.best.score
 
     def test_zero_operators_return_seeded_optimum(self):
+        # with no operators, every generation copies the initial population
         series = ar1_series(13, 14)
         model = ModelSpec("trend-shift", "ar1", "mdl")
-        oracle = exhaustive_optimize(series, model).best
         params = GAParams(
             population_size=20,
             max_generations=25,
@@ -447,12 +454,14 @@ class TestGA:
             mutation_rate=0.0,
             seed=5,
         )
-        report = ga_optimize(series, model, params, initial=(oracle.config,))
-        assert report.best.config.taus == oracle.config.taus
-        assert report.best.score == pytest.approx(oracle.score, abs=1e-12)
+        start = ga_optimize(series, model, replace(params, max_generations=0))
+        report = ga_optimize(series, model, params)
+        assert report.generations_run == params.stagnation_limit
+        assert report.best == start.best
+        assert set(report.score_history) == {start.best.score}
 
     @staticmethod
-    def _scored_by(params, initial=()):
+    def _scored_by(params):
         """Every boundary tuple a GA run asks its fitness to score."""
         fitness = _model_fitness(ar1_series(21, 80), ModelSpec("trend-shift", "wn"))
         scored = set()
@@ -461,7 +470,7 @@ class TestGA:
             scored.update(map(regimes.taus, range(regimes.m.size)))
             return fitness(regimes)
 
-        return scored, ga_minimize(recording, 80, 3, params, initial=initial)
+        return scored, ga_minimize(recording, 80, 3, params)
 
     @pytest.mark.parametrize("rule", ["constant", "one-boundary", "fewer-boundaries-first"])
     def test_ties_break_by_m_then_boundaries(self, rule):
@@ -498,12 +507,9 @@ class TestGA:
     def test_crossover_only_recombines_initial_boundaries(self):
         # the parent matrix must map each ranked individual to its own bits
         params = GAParams(population_size=30, max_generations=0, mutation_rate=0.0, seed=8)
-        seeds = [(10, 11, 40), (25, 60)]
-        start, _ = self._scored_by(params, seeds)
+        start, _ = self._scored_by(params)
         pool = {tau for taus in start for tau in taus}
-        scored, run = self._scored_by(
-            GAParams(population_size=30, max_generations=30, mutation_rate=0.0, seed=8), seeds
-        )
+        scored, run = self._scored_by(replace(params, max_generations=30))
         assert run.generations_run == 30
         assert len(scored) > len(start)
         assert {tau for taus in scored for tau in taus} <= pool
@@ -557,21 +563,6 @@ class TestGA:
         assert report.best == evaluate(series, model, report.best.config)
         assert report.score_history[-1] == report.best.score
 
-    @pytest.mark.parametrize("initial", [(20,), (0, 5), (5, 3)])
-    def test_initial_tuple_that_is_no_configuration_rejected(self, initial):
-        # (20,) used to end in an IndexError, and (0, 5) silently seeded boundary 13
-        with pytest.raises(DomainError):
-            ga_minimize(lambda regimes: [0.0] * regimes.m.size, 14, 1, lean_ga(),
-                        initial=[initial])
-
-    def test_initial_config_out_of_range_rejected(self):
-        series = ar1_series(17, 14)
-        bad = ChangepointConfiguration((20,))
-        with pytest.raises(DomainError):
-            ga_optimize(
-                series, ModelSpec("mean-shift", "ar1"), lean_ga(), initial=(bad,)
-            )
-
     def test_matches_exhaustive_on_random_batch(self):
         # 50 length-14 datasets, each paired with one family from the rotation;
         # mean-shift needs the patient settings (dense near-saturated optima)
@@ -623,21 +614,18 @@ class TestSharedDraws:
         return _model_fitness(ar1_series(seed, self.N), ModelSpec(mean, errors))
 
     def _calls(self):
-        """Searches with one draw key but other segment rules, caps, initial
-        configurations and stopping points; the fourth runs longer than the
-        first three."""
+        """Searches with one draw key but other segment rules, caps and
+        stopping points; the fourth runs longer than the first three."""
         p = self.PARAMS
         return [
             lambda: ga_minimize(self._fitness("mean-shift", "ar1"), self.N, 1, p),
-            lambda: ga_minimize(self._fitness("fixed-slope", "ar1"), self.N, 2, p,
-                                max_m=2, initial=[(20, 41)]),
+            lambda: ga_minimize(self._fitness("fixed-slope", "ar1"), self.N, 2, p, max_m=2),
             lambda: ga_minimize(self._fitness("trend-shift", "wn"), self.N, 3,
                                 replace(p, stagnation_limit=3)),
             lambda: ga_minimize(self._fitness("trend-shift", "wn"), self.N, 3,
                                 replace(p, max_generations=30), max_m=3),
             lambda: ga_optimize(ar1_series(32, self.N), ModelSpec("variance-shift", "wn"),
-                                replace(p, max_generations=20),
-                                initial=[ChangepointConfiguration((15, 44))]),
+                                replace(p, max_generations=20)),
         ]
 
     def test_each_search_matches_its_unscoped_run(self, monkeypatch):
@@ -878,10 +866,6 @@ def test_golden_ga_trajectories_with_a_cap_a_seed_and_knots():
     series, params = _short_case(14, 601, "fixed-slope")
     capped = ga_optimize(series, ModelSpec("fixed-slope", "ar1", "bic"), params, max_m=2)
     assert _pin(capped) == ((5, 7), "43.957157880203845", 30, 55, "59dd80d790013c49")
-    series, params = _short_case(13, 602, "trend-shift")
-    seeded = ga_optimize(series, ModelSpec("trend-shift", "ar1", "mdl"), params,
-                         initial=[ChangepointConfiguration((4, 9))])
-    assert _pin(seeded) == ((5, 9), "23.471251380321604", 31, 27, "6925d9392dac1a4f")
     series, params = _short_case(14, 603, "joinpin")
     knots = joinpin_search(series, 1.0, params=params)
     assert _pin(knots) == ((3,), "36.95353578185338", 30, 131, "f92f233263091647")
