@@ -2,10 +2,10 @@
 
 Subcommands: ``fit`` (one model), ``compare`` (the full model table),
 ``residuals`` (``fit --out csv``), ``simulate`` (synthetic data).
-``compare`` runs its rows in two groups, each in table order: the seven
-BIC rows (joinpin and the two long-memory rows among them), then the
-four MDL rows.  One forked worker process runs the MDL group while this
-process runs the BIC group; where fork is unsafe or missing (macOS,
+``compare`` runs its rows in two groups, each in table order: the
+trend-shift, joinpin and long-memory rows, then the mean-shift and
+fixed-slope rows.  One forked worker process runs the second group while
+this process runs the first; where fork is unsafe or missing (macOS,
 Windows, a process running other threads) or only one CPU is in its
 affinity, this process runs both.  The rows print in table order.
 Exit codes: 0 success, 2 bad input data or request/data mismatch,
@@ -49,7 +49,7 @@ from .io import (
 from .joinpin import check_variance, joinpin_search
 from .longmemory import fit_arfima
 from .plotting import emit_plot
-from .search import GAParams, shared_draws, solve
+from .search import GAParams, shared_scope, solve
 from .simulate import SimSpec, simulate_series
 
 __all__ = ["main", "build_parser", "AnalysisRequest", "run_analysis"]
@@ -79,6 +79,11 @@ _COMPARE_ROWS = [
 
 # The row whose innovation variance joinpin uses when no --sigma2 is given.
 _SIGMA2_ROW = ("trend-shift", "wn", "bic")
+
+# compare's worker runs these families' rows (1, 2, 7, 8), this process the
+# rest.  Alone in-process at --generations 40 on the benchmark fixture the
+# groups take 96-107 and 91-96 ms; split by penalty they took 120 and 90 ms.
+_WORKER_FAMILIES = ("mean-shift", "fixed-slope")
 
 
 @dataclass(frozen=True)
@@ -313,7 +318,7 @@ def _cmd_fit(args: argparse.Namespace) -> int:
 
 
 def _fork_is_safe() -> bool:
-    """Whether ``compare`` may fork a worker for its MDL rows: the platform
+    """Whether ``compare`` may fork a worker for some of its rows: the platform
     forks safely (not macOS, where fork is unsafe, nor Windows, which has
     none), this process runs no other thread, and two CPUs are ours."""
     import multiprocessing
@@ -332,9 +337,7 @@ def _run_rows(rows: list[tuple[str, str, str]], series: TimeSeries, params: GAPa
     each row run's result dict, or the error it raised."""
     done: dict[tuple[str, str, str], dict[str, Any] | Exception] = {}
     for row in rows:
-        model, errors, penalty = row
-        req = AnalysisRequest(series=series, model=model, errors=errors, penalty=penalty,
-                              ga_params=params, max_m=max_m, sigma2=sigma2)
+        req = AnalysisRequest(series, *row, params, max_m, sigma2)
         try:
             result, fit, _ = run_analysis(req)
         except Exception as err:  # raised by _compare_rows, in table order
@@ -356,36 +359,35 @@ def _compare_rows(series: TimeSeries, params: GAParams, max_m: int | None,
                   sigma2: float | None) -> list[dict[str, Any]]:
     """The result dicts of ``_COMPARE_ROWS``, in table order.
 
-    Two groups run, each in table order up to its first failure: the BIC
-    rows (joinpin, whose σ² comes from a BIC row, among them), then the
-    MDL rows.  A forked worker runs the MDL group while this process runs
-    the BIC group; where fork is not safe, this process runs both.  The
-    rows' searches share their seed and GA settings, so in one
-    ``shared_draws()`` scope, which a worker inherits empty, each process
-    draws each generation once.  The earliest failing row in table order
+    Two groups run, each in table order up to its first failure: the
+    trend-shift, joinpin and long-memory rows, then the rows of
+    ``_WORKER_FAMILIES``, in a forked worker where fork is safe.  In one
+    ``shared_scope()``, which a worker inherits empty, each process draws
+    each generation of its GA rows once and builds each family's
+    per-regime tables once.  The earliest failing row in table order
     raises its error; a row that a group skipped follows that group's
     failure.  A worker that dies without sending its rows raises
     ``RuntimeError``.
     """
     args = (series, params, max_m, sigma2)
-    bic = [row for row in _COMPARE_ROWS if row[2] != "mdl"]
-    mdl = [row for row in _COMPARE_ROWS if row[2] == "mdl"]
-    with shared_draws():
+    local_rows = [row for row in _COMPARE_ROWS if row[0] not in _WORKER_FAMILIES]
+    worker_rows = [row for row in _COMPARE_ROWS if row[0] in _WORKER_FAMILIES]
+    with shared_scope():
         if _fork_is_safe():
             import multiprocessing
 
             context = multiprocessing.get_context("fork")
             receiver, sender = context.Pipe(duplex=False)
-            worker = context.Process(target=_worker, args=(sender, mdl, *args))
+            worker = context.Process(target=_worker, args=(sender, worker_rows, *args))
             worker.start()  # flushes sys.stdout and sys.stderr before it forks
             sender.close()
             try:
-                done = _run_rows(bic, *args)
+                done = _run_rows(local_rows, *args)
                 try:
                     done.update(receiver.recv())
                 except EOFError:
                     worker.join()
-                    raise RuntimeError(f"compare's MDL worker (pid {worker.pid}) exited with "
+                    raise RuntimeError(f"compare's worker (pid {worker.pid}) exited with "
                                        f"code {worker.exitcode} before sending its rows") from None
             except BaseException:
                 worker.terminate()
@@ -394,7 +396,7 @@ def _compare_rows(series: TimeSeries, params: GAParams, max_m: int | None,
                 receiver.close()
                 worker.join()
         else:
-            done = _run_rows(bic, *args) | _run_rows(mdl, *args)
+            done = _run_rows(local_rows, *args) | _run_rows(worker_rows, *args)
     for row in _COMPARE_ROWS:
         if isinstance(done[row], Exception):
             raise done[row]

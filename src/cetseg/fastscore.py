@@ -22,8 +22,9 @@ the layout the exact search's DP reads; the RSS is +inf for regimes
 shorter than the family's minimum.  A batch score is then one gather
 per table, the product straddling each boundary and the
 per-configuration sums.  The exact search builds its table and hands it
-to its scorer.  The fixed-slope scorer (whose slope is pooled over a
-configuration's regimes), the variance-shift scorer and
+to its scorer; a :func:`cetseg.search.shared_scope` keeps the last tables
+for the next search they fit.  The fixed-slope scorer (whose slope is
+pooled over a configuration's regimes), the variance-shift scorer and
 :func:`joinpin_rss` gather prefix sums on every call.
 
 The sums are taken of ``x`` centred on the series mean and of ``t``
@@ -73,6 +74,7 @@ terms.
 from __future__ import annotations
 
 import math
+from contextvars import ContextVar
 from typing import Callable
 
 import numpy as np
@@ -283,7 +285,26 @@ def row_blocks(lo: int, hi: int, count: int = _BLOCKS) -> list[tuple[int, int]]:
 _RUN_ROWS = 32
 
 
+# Inside a search.shared_scope(), [key, tables, floor] of the last
+# regime_tables call ([] before the first); outside, each call's own [].
+KEPT_TABLES: ContextVar[list] = ContextVar("cetseg_kept_tables")
+
+
 def regime_tables(values: np.ndarray, min_len: int, trend: bool,
+                  ar1: bool) -> tuple[list[np.ndarray], float]:
+    """:func:`_build_tables`, read-only, or the kept ones where ``values``,
+    ``min_len`` and ``trend`` match (a white-noise call keeps an RSS only)."""
+    kept, key = KEPT_TABLES.get([]), (values.tobytes(), min_len, trend)
+    if not (kept and kept[0] == key and len(kept[1]) >= (4 if ar1 else 1)):
+        kept[:] = ()  # the old tables go before the new are built
+        kept[:] = key, *_build_tables(values, min_len, trend, ar1)
+        for table in kept[1]:
+            table.flags.writeable = False
+    kept[1] = kept[1][:4 if ar1 else 1]
+    return kept[1], kept[2]
+
+
+def _build_tables(values: np.ndarray, min_len: int, trend: bool,
                   ar1: bool) -> tuple[list[np.ndarray], float]:
     """The per-regime terms of a mean shift or trend shift, and the
     scorers' trust floor.

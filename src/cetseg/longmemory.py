@@ -80,7 +80,12 @@ def frac_diff(values, d: float, truncation_lag: int) -> np.ndarray:
 
 def _weights(d, nlags: int) -> np.ndarray:
     """The filter weights ``pi_0..pi_nlags`` of each memory parameter in
-    ``d`` (a float or an array), one row per lag."""
+    ``d`` (a float, taken in Python floats, or an array), one row per lag."""
+    if np.ndim(d) == 0:
+        pi, d = [1.0], float(d)
+        for j in range(1, nlags + 1):
+            pi.append(pi[-1] * (j - 1 - d) / j)
+        return np.array(pi)
     pi = np.empty((nlags + 1, *np.shape(d)))
     pi[0] = 1.0
     for j in range(1, nlags + 1):

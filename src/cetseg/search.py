@@ -45,10 +45,11 @@ order.  A generation's draws depend only on ``(seed, generation)`` and
 on the key ``(seed, population size, child count, N - 1, crossover
 probability, per-position flip probability)``, never on the fitness
 or the population, so searches that share the key draw the same
-arrays.  Inside a :func:`shared_draws` scope they are drawn once, kept
-compactly up to a size limit, and replayed to every later search with
-that key; outside any scope each search draws its own and keeps
-nothing.  Replaying a kept generation costs about 2% of drawing it.
+arrays.  Inside a :func:`shared_scope`, which also keeps the last
+per-regime tables, they are drawn once, kept compactly up to a size
+limit, and replayed to every later search with that key; outside any
+scope each search draws its own and keeps nothing.  Replaying a kept
+generation costs about 2% of drawing it.
 
 Ties are broken identically everywhere: lower score, then fewer
 changepoints, then lexicographically smaller boundary indices.
@@ -81,7 +82,7 @@ from .core import (
     TimeSeries,
 )
 from .estimation import LOG_2PI
-from .fastscore import by_length, regime_tables, row_blocks, score_function
+from .fastscore import KEPT_TABLES, by_length, regime_tables, row_blocks, score_function
 from .penalties import penalty_parts, penalty_value
 
 __all__ = [
@@ -98,7 +99,7 @@ __all__ = [
     "ga_optimize",
     "ga_search",
     "solve",
-    "shared_draws",
+    "shared_scope",
     "EXHAUSTIVE_MAX_N",
     "REFIT_RTOL",
 ]
@@ -769,9 +770,8 @@ def _taus_of(key: bytes, length: int) -> tuple[int, ...]:
     return tuple((np.flatnonzero(bits == 0) + 1).tolist())
 
 
-# Generations >= 1 of each draw key's draws, kept by the open
-# shared_draws() scope (list index = generation - 1); None outside any
-# scope.
+# Generations >= 1 of each draw key's draws, kept by the open shared_scope()
+# (list index = generation - 1); None outside any scope.
 _SHARED: ContextVar[dict | None] = ContextVar("cetseg_shared_draws", default=None)
 
 # Bytes of packed crossover masks a scope keeps per draw key (about 85%
@@ -783,19 +783,21 @@ _SHARED_BYTES = 8 * 2**20
 
 
 @contextmanager
-def shared_draws() -> Iterator[None]:
-    """Let the GA searches run inside this scope share their draws.
+def shared_scope() -> Iterator[None]:
+    """Let the searches run inside this scope share their draws and tables.
 
-    Each generation's random arrays are drawn once per draw key (see
+    Each GA generation's random arrays are drawn once per draw key (see
     :func:`ga_minimize`) and replayed to every later search with the
-    same key, so the searches' results are exactly those they give
-    alone.  A scope starts with an empty memo and drops it on exit.
+    same key, and the last :func:`~cetseg.fastscore.regime_tables` are
+    reused where they fit, so the searches' results are exactly those
+    they give alone.  A scope starts empty and drops it all on exit.
     """
-    token = _SHARED.set({})
+    draws, tables = _SHARED.set({}), KEPT_TABLES.set([])
     try:
         yield
     finally:
-        _SHARED.reset(token)
+        _SHARED.reset(draws)
+        KEPT_TABLES.reset(tables)
 
 
 def _draw(params: GAParams, n: int, child_count: int, gen: int):
@@ -837,7 +839,7 @@ def _unpack(kept, length: int):
 
 def _draws(params: GAParams, n: int, child_count: int) -> Callable[[int], tuple]:
     """A search's source of :func:`_draw`'s arrays by generation, replayed
-    from the :func:`shared_draws` memo inside a scope."""
+    from the :func:`shared_scope` memo inside a scope."""
     memo = _SHARED.get()
     if memo is None:
         return partial(_draw, params, n, child_count)
@@ -939,7 +941,7 @@ def ga_minimize(
     tournament picks ``(C, 6)``, crossover uniforms ``(C,)``, a
     crossover mask ``(C, n-1)`` and mutation flips ``(C, n-1)``, with
     row i belonging to child i; see the module docstring for the draw
-    key that :func:`shared_draws` replays by.
+    key that :func:`shared_scope` replays by.
 
     Raises
     ------

@@ -4,7 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from cetseg import TimeSeries
+from cetseg import TimeSeries, fastscore
 from cetseg.io import parse_hadcet
 from cetseg.search import GAParams
 
@@ -73,3 +73,17 @@ def patient_ga(seed: int = 0, **kw) -> GAParams:
 @pytest.fixture
 def rng():
     return np.random.default_rng(20260815)
+
+
+@pytest.fixture
+def table_builds(monkeypatch) -> list:
+    """The ``(min_len, trend, ar1)`` of each per-regime table build, as it happens."""
+    built = []
+    build = fastscore._build_tables
+
+    def counted(values, min_len, trend, ar1):
+        built.append((min_len, trend, ar1))
+        return build(values, min_len, trend, ar1)
+
+    monkeypatch.setattr(fastscore, "_build_tables", counted)
+    return built

@@ -13,7 +13,14 @@ from hypothesis import strategies as st
 
 from conftest import lean_ga
 
-from cetseg import DegenerateFitError, DomainError, InfeasibleModelError, ModelSpec, TimeSeries
+from cetseg import (
+    ChangepointConfiguration,
+    DegenerateFitError,
+    DomainError,
+    InfeasibleModelError,
+    ModelSpec,
+    TimeSeries,
+)
 from cetseg import search
 from cetseg.cli import main
 from cetseg.estimation import LOG_2PI
@@ -99,6 +106,40 @@ def test_no_worse_than_the_ga(seed):
         exact = exact_optimize(series, model).best
         ga = ga_optimize(series, model, GAParams(seed=seed, max_generations=100)).best
         assert exact.score <= ga.score + 1e-9 * abs(ga.score)
+
+
+def _plain_segment_neighbourhood(rss, min_len):
+    """Per changepoint count m = 0, 1, ..., N // min_len - 1, a
+    configuration of least RSS: the plain DP over the whole table, every
+    layer, no row blocks and no bound."""
+    n = rss.shape[0] - 1
+    least, backs, found = rss[:, 0], [], [()]
+    for _ in range(1, n // min_len):
+        total = least + rss  # [e, s]: the last regime s+1..e after the best of 1..s
+        back = total.argmin(axis=1)
+        least = total[np.arange(n + 1), back]
+        backs.append(back)
+        e, taus = n, []
+        for step in reversed(backs):
+            e = int(step[e])
+            taus.append(e)
+        found.append(tuple(reversed(taus)))
+    return found
+
+
+@pytest.mark.parametrize("seed", range(1, 11))
+def test_bic_answer_is_the_plain_dp_optimum(seed):
+    # under BIC the penalty depends on m alone, so each count's least RSS
+    # is that count's best score: an oracle for the capped, blocked search
+    series = fixture(seed)
+    model = ModelSpec("trend-shift", "wn", "bic")
+    [rss], _ = regime_tables(series.values, 3, True, False)
+    scored = [(search.evaluate(series, model, ChangepointConfiguration(taus)).score,
+               len(taus), taus) for taus in _plain_segment_neighbourhood(rss, 3)]
+    score, _, taus = min(scored)
+    best = exact_optimize(series, model).best
+    assert best.config.taus == taus
+    assert math.isclose(best.score, score, rel_tol=1e-12)
 
 
 def test_max_m_caps_the_answer():

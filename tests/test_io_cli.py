@@ -706,7 +706,7 @@ class TestCliSimulate:
         assert captured.err.startswith("error: --taus expects integers")
 
 
-# compare forks a worker for its MDL rows where the platform forks safely
+# compare forks a worker for some of its rows where the platform forks safely
 _CAN_FORK = sys.platform != "darwin" and "fork" in multiprocessing.get_all_start_methods()
 
 
@@ -742,7 +742,7 @@ class TestCliCompare:
 
     @pytest.fixture(params=["forked", "in-process"])
     def mode(self, request, monkeypatch):
-        """Run compare with its MDL rows in a forked worker, or all in-process."""
+        """Run compare with its worker's rows in a forked worker, or all in-process."""
         if request.param == "forked" and not _CAN_FORK:
             pytest.skip("fork is unavailable or unsafe here")
         monkeypatch.setattr(cli, "_fork_is_safe", lambda: request.param == "forked")
@@ -767,17 +767,20 @@ class TestCliCompare:
             assert multiprocessing.active_children() == []
         assert outputs[0] == outputs[1]
 
-    # Both layouts run the same plan: the BIC rows (1, 3, 5, 7, 9, 10, 11),
-    # then the MDL rows (2, 4, 6, 8), each group up to its first failure.
+    # Both layouts run the same plan: the rows of the trend-shift, joinpin
+    # and long-memory families (3, 4, 5, 6, 9, 10, 11), then those of the
+    # mean-shift and fixed-slope families (1, 2, 7, 8), each group up to
+    # its first failure.  The ids name the penalty of the failing rows.
     @pytest.mark.parametrize("failing, printed, code, started", [
-        # an MDL row alone; it runs in the worker when compare forks
-        ({6: DegenerateFitError}, 6, 2, [1, 2, 3, 4, 5, 6, 7, 9, 10, 11]),
-        # a BIC row earlier in the table wins over a later MDL row ...
-        ({3: DegenerateFitError, 6: DegenerateFitError}, 3, 2, [1, 2, 3, 4, 6]),
-        # ... and an MDL row over a later BIC row, whatever its error type
-        ({4: InfeasibleModelError, 5: DegenerateFitError}, 4, 3, [1, 2, 3, 4, 5]),
-        # each group stops at its first row
-        ({1: InfeasibleModelError, 2: DegenerateFitError}, 1, 3, [1, 2]),
+        # a worker row alone; the worker stops there
+        ({2: DegenerateFitError}, 2, 2, [1, 2, 3, 4, 5, 6, 9, 10, 11]),
+        # a main-process row earlier in the table wins over a later worker row ...
+        ({3: DegenerateFitError, 8: DegenerateFitError}, 3, 2, [1, 2, 3, 7, 8]),
+        # ... and a worker row over a later main-process row, whatever its error type
+        ({2: InfeasibleModelError, 5: DegenerateFitError}, 2, 3, [1, 2, 3, 4, 5]),
+        # each group stops at its first row ...
+        ({1: InfeasibleModelError, 3: DegenerateFitError}, 1, 3, [1, 3]),
+        # ... or the worker at its second while the main process stops at its first
         ({2: DegenerateFitError, 3: InfeasibleModelError}, 2, 2, [1, 2, 3]),
     ], ids=["mdl", "bic-first", "mdl-first", "first-of-each", "mdl-first-row"])
     def test_error_of_the_earliest_failing_row_is_printed(self, csv_file, capsys, tmp_path,
@@ -792,7 +795,7 @@ class TestCliCompare:
             with open(log, "a", encoding="utf-8") as stream:  # both processes append
                 stream.write(f"{row}\n")
             forked = os.getpid() != parent
-            if forked != (mode == "forked" and req.penalty == "mdl"):
+            if forked != (mode == "forked" and req.model in ("mean-shift", "fixed-slope")):
                 raise AssertionError(f"row {row} ran in the wrong process")
             if row in failing:
                 raise failing[row](f"row {row} failed")
@@ -820,6 +823,13 @@ class TestCliCompare:
         monkeypatch.setattr(search, "_draw", counted)
         assert main(["compare", "--input", csv_file, "--format", "csv", *FAST]) == 0
         assert drawn and len(drawn) == len(set(drawn))
+
+    def test_in_process_compare_builds_two_ar1_table_sets(self, csv_file, capsys,
+                                                         monkeypatch, table_builds):
+        # rows 3-6 share the trend-shift tables, rows 1-2 the mean-shift ones
+        monkeypatch.setattr(cli, "_fork_is_safe", lambda: False)
+        assert main(["compare", "--input", csv_file, "--format", "csv", *FAST]) == 0
+        assert table_builds == [(3, True, True), (1, False, True)]
 
     @pytest.mark.skipif(not _CAN_FORK, reason="fork is unavailable or unsafe here")
     def test_unflushed_stdout_is_written_once(self, csv_file, tmp_path, monkeypatch):

@@ -7,7 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cetseg import DomainError, FitResult, TimeSeries
-from cetseg.longmemory import _css, fit_arfima, frac_diff
+from cetseg.longmemory import _css, _weights, fit_arfima, frac_diff
+from cetseg.simulate import SimSpec, simulate_series
 
 
 def _direct_binomial_weights(d: Fraction, nlags: int) -> list[float]:
@@ -72,6 +73,18 @@ class TestFracDiff:
         lhs = frac_diff(a * x + b * y, d, 15)
         rhs = a * frac_diff(x, d, 15) + b * frac_diff(y, d, 15)
         np.testing.assert_allclose(lhs, rhs, atol=1e-9)
+
+    def test_scalar_weights_are_the_array_weights_bit_for_bit(self):
+        # frac_diff takes a float d; the grid pass takes an array of them
+        series = simulate_series(SimSpec(n=362, taus=(41, 80, 329), mus=(9.0, 8.5, 9.3, 10.2),
+                                         betas=(0.0, 0.0, 0.003, 0.02), phi=0.06, sigma=0.54,
+                                         seed=1))
+        probes = [d for p in (0, 1) for d, _ in fit_arfima(series, p).probes]
+        ds = [0.0, 1.0, 1e-5, 0.5, *probes]
+        columns = _weights(np.array(ds), series.n - 1)
+        for d, column in zip(ds, columns.T):
+            assert np.array_equal(_weights(d, series.n - 1), column)
+        assert np.array_equal(_weights(0.3, 0), [1.0])
 
     def test_preconditions(self):
         x = np.ones(10)

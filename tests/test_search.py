@@ -39,7 +39,7 @@ from cetseg.search import (
     ga_optimize,
     ga_search,
     min_segment_length,
-    shared_draws,
+    shared_scope,
 )
 
 SEARCH_FAMILIES = (
@@ -589,7 +589,7 @@ class TestGA:
 
 
 class TestSharedDraws:
-    """Searches inside one shared_draws() scope replay each other's draws."""
+    """Searches inside one shared_scope() replay each other's draws."""
 
     N = 60
     PARAMS = GAParams(population_size=30, max_generations=12, stagnation_limit=1000, seed=4)
@@ -631,7 +631,7 @@ class TestSharedDraws:
     def test_each_search_matches_its_unscoped_run(self, monkeypatch):
         alone = [call() for call in self._calls()]
         built = self._count_generators(monkeypatch)
-        with shared_draws():
+        with shared_scope():
             shared = [call() for call in self._calls()]
         assert shared == alone
         assert alone[2].generations_run < 12
@@ -653,7 +653,7 @@ class TestSharedDraws:
         fitness = _model_fitness(ar1_series(33, n), ModelSpec("trend-shift", "wn"))
         alone = ga_minimize(fitness, n, 3, params)
         built = self._count_generators(monkeypatch)
-        with shared_draws():
+        with shared_scope():
             ga_minimize(self._fitness("trend-shift", "wn", 33), self.N, 3, self.PARAMS)
             del built[:]
             assert ga_minimize(fitness, n, 3, params) == alone
@@ -662,7 +662,7 @@ class TestSharedDraws:
     def test_a_replaying_search_builds_no_generator_for_drawn_generations(self, monkeypatch):
         fitness = self._fitness("mean-shift", "ar1")
         built = self._count_generators(monkeypatch)
-        with shared_draws():
+        with shared_scope():
             ga_minimize(fitness, self.N, 1, self.PARAMS)
             assert len(built) == 13
             ga_minimize(fitness, self.N, 1, replace(self.PARAMS, max_generations=8))
@@ -676,7 +676,7 @@ class TestSharedDraws:
         # 28 children of 59 candidate bits pack into 8 bytes each
         monkeypatch.setattr(search, "_SHARED_BYTES", 5 * 28 * 8)
         built = self._count_generators(monkeypatch)
-        with shared_draws():
+        with shared_scope():
             assert ga_minimize(fitness, self.N, 3, self.PARAMS) == alone
             assert [len(kept) for kept in search._SHARED.get().values()] == [5]
             del built[:]
@@ -687,20 +687,20 @@ class TestSharedDraws:
         fitness = self._fitness("mean-shift", "ar1")
         built = self._count_generators(monkeypatch)
         assert search._SHARED.get() is None
-        with shared_draws():
+        with shared_scope():
             ga_minimize(fitness, self.N, 1, self.PARAMS)
             assert [len(kept) for kept in search._SHARED.get().values()] == [12]
         assert search._SHARED.get() is None
         # outside any scope, and in a new scope, every search draws afresh
         ga_minimize(fitness, self.N, 1, self.PARAMS)
-        with shared_draws():
+        with shared_scope():
             assert search._SHARED.get() == {}
             ga_minimize(fitness, self.N, 1, self.PARAMS)
         assert len(built) == 3 * 13
 
     def test_memo_is_dropped_when_the_scope_raises(self):
         with pytest.raises(DegenerateFitError):
-            with shared_draws():
+            with shared_scope():
                 ga_minimize(lambda regimes: [np.inf] * regimes.m.size, self.N, 1, self.PARAMS)
         assert search._SHARED.get() is None
 
