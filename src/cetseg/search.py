@@ -27,14 +27,16 @@ configuration's score does not depend on the batch it is scored in.
 Scorers take a :class:`~cetseg.core.Regimes` batch; a boundary tuple is
 made only for a reference fit and for a winner.
 
-The GA keeps each generation as a bool matrix of inclusion bits, one
-row per individual, best first; children are repaired in place.  The
-first generation is drawn at random, with the empty configuration as
-its first row.  Up
-to N = 15 its memo is the rank of every feasible configuration, read
-by the row's bits as an integer; above, one sort key per configuration
+The GA keeps each generation best first.  Up to N = 15 a generation is
+a vector of integer codes, the inclusion bits read as an integer;
+children are repaired by a table over all codes, and the memo is the
+rank of every feasible configuration by code.  Above, a generation is a
+bool matrix of inclusion bits, one row per individual; children are
+repaired in place, and the memo keeps one sort key per configuration
 scored, keyed by the bytes of each row's complemented bits, packed,
 whose order at equal changepoint counts is that of boundary tuples.
+The first generation is drawn at random, with the empty configuration
+as its first individual.
 
 The genetic algorithm is deterministic for a given seed.  Each
 generation draws from one stream keyed by ``(seed, generation)``, as
@@ -63,7 +65,7 @@ from contextvars import ContextVar
 from dataclasses import dataclass
 from functools import partial
 from operator import itemgetter
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -815,8 +817,9 @@ def _draw(params: GAParams, n: int, child_count: int, gen: int):
     from_second = rng.random((child_count, length)) < 0.5
     flips = rng.random((child_count, length)) < params.mutation_rate / length
     # Rows are ranks, so a tournament's winner is its smallest pick.
-    winners = picks.reshape(child_count, 2, 3).min(axis=2)
-    return winners[:, 0], winners[:, 1], crossed[:, None] & from_second, flips
+    first = np.minimum(np.minimum(picks[:, 0], picks[:, 1]), picks[:, 2])
+    second = np.minimum(np.minimum(picks[:, 3], picks[:, 4]), picks[:, 5])
+    return first, second, crossed[:, None] & from_second, flips
 
 
 def _pack(drawn, population_size: int):
@@ -862,12 +865,30 @@ def _draws(params: GAParams, n: int, child_count: int) -> Callable[[int], tuple]
     return replay
 
 
-def _dict_memo(fitness: Fitness, n: int, min_len: int, cap: int) -> tuple:
-    """A GA memo: ``ranked(pop)``, ``pop``'s rows best first and the best
-    one's sort key, ordered as ``(score, m, taus)``; ``score_of`` and
-    ``taus_of`` of a sort key; ``visited()``.  It scores a generation's new
-    rows by one call and keeps ``(score, m, key)`` by :func:`_keys` key."""
+class _Memo(NamedTuple):
+    """What a GA memo hands :func:`ga_minimize`: ``encode(bits)``, bool
+    rows as the memo's individuals; ``repair(pop)``, those individuals made
+    feasible; ``ranked(pop)``, ``pop`` best first and the best one's sort
+    key, ordered as ``(score, m, taus)``; ``score_of`` and ``taus_of`` of a
+    sort key; ``visited()``."""
+
+    encode: Callable
+    repair: Callable
+    ranked: Callable
+    score_of: Callable
+    taus_of: Callable
+    visited: Callable
+
+
+def _dict_memo(fitness: Fitness, n: int, min_len: int, cap: int) -> _Memo:
+    """A GA memo over bool rows, repaired in place by :func:`_repair`.  It
+    scores a generation's new rows by one call and keeps ``(score, m,
+    key)`` by :func:`_keys` key."""
     cache: dict[bytes, tuple] = {}
+
+    def repair(pop: np.ndarray) -> np.ndarray:
+        _repair(pop, n, min_len, cap)
+        return pop
 
     def ranked(pop: np.ndarray) -> tuple[np.ndarray, tuple]:
         keys = _keys(pop)
@@ -880,32 +901,57 @@ def _dict_memo(fitness: Fitness, n: int, min_len: int, cap: int) -> tuple:
         order = sorted(range(len(keys)), key=sort_keys.__getitem__)
         return pop[order], sort_keys[order[0]]
 
-    return ranked, itemgetter(0), lambda best: _taus_of(best[2], n - 1), cache.__len__
+    return _Memo(lambda bits: bits, repair, ranked, itemgetter(0),
+                 lambda best: _taus_of(best[2], n - 1), cache.__len__)
 
 
-def _table_memo(fitness: Fitness, n: int, min_len: int, cap: int) -> tuple:
+def _repair_table(n: int, min_len: int, cap: int) -> np.ndarray | None:
+    """What :func:`_repair` makes of each code ``bits @ 2**arange`` over
+    boundaries ``1..n-1``, by code; None where it changes nothing
+    (``min_len`` 1 and ``cap`` at least ``n - 1``).  One sweep over the
+    columns keeps bit ``tau`` of every code where it is set, closes a
+    regime of ``min_len`` or more and fewer than ``cap`` are kept, for
+    ``tau`` up to ``n - min_len``."""
+    if min_len == 1 and cap >= n - 1:
+        return None
+    codes = np.arange(1 << (n - 1))
+    fixed = np.zeros_like(codes)
+    last = np.zeros_like(codes)
+    kept = np.zeros_like(codes)
+    for tau in range(min_len, n - min_len + 1):
+        keep = (codes >> (tau - 1)) & 1 & (tau - last >= min_len) & (kept < cap)
+        fixed |= keep << (tau - 1)
+        last[keep.astype(bool)] = tau
+        kept += keep
+    return fixed
+
+
+def _table_memo(fitness: Fitness, n: int, min_len: int, cap: int) -> _Memo:
     """:func:`_dict_memo`'s memo from the whole feasible space, scored up
-    front and ranked once; a row's sort key is its rank, read by its code
-    ``bits @ 2**arange``, and a bitmap over codes marks the rows ranked."""
+    front and ranked once.  Its individuals are codes ``bits @ 2**arange``,
+    repaired by :func:`_repair_table`; a code's sort key is its rank, and
+    a bitmap over codes marks the codes ranked."""
     bit = 1 << np.arange(n - 1)
     parts = [(*_scored(fitness, rows, n), rows) for rows in _feasible_rows(n, min_len, cap)]
     scores, m, rows = map(np.concatenate, zip(*parts))
     order = _least(scores, m, rows)
     scores, codes = scores[order], rows[order] @ bit
+    # Zero off the feasible codes, which repaired codes never are.
     rank = np.zeros(1 << (n - 1), np.intp)
     rank[codes] = np.arange(codes.size)
     seen = np.zeros(rank.size, bool)
+    fix = _repair_table(n, min_len, cap)
 
     def ranked(pop: np.ndarray) -> tuple[np.ndarray, int]:
-        code = pop @ bit
-        seen[code] = True
-        ranks = rank[code]
+        seen[pop] = True
+        ranks = rank[pop]
         order = np.argsort(ranks, kind="stable")
         return pop[order], int(ranks[order[0]])
 
-    return (ranked, lambda best: float(scores[best]),
-            lambda best: tuple((np.flatnonzero(codes[best] & bit) + 1).tolist()),
-            lambda: int(seen.sum()))
+    return _Memo(lambda bits: bits @ bit, (lambda pop: pop) if fix is None else fix.__getitem__,
+                 ranked, lambda best: float(scores[best]),
+                 lambda best: tuple((np.flatnonzero(codes[best] & bit) + 1).tolist()),
+                 lambda: int(seen.sum()))
 
 
 def ga_minimize(
@@ -930,10 +976,13 @@ def ga_minimize(
     which at equal ``m`` sorts as boundary tuples do.  The two give the
     same search, result and count of configurations visited.
     Individuals are inclusion bitvectors over candidate boundaries
-    ``1..n-1``, and a generation is a bool matrix ranked best first, one
-    row per individual; infeasible children are repaired in place, never
-    rejected.  See :func:`ga_optimize` for the generation scheme and the
-    stopping rule.
+    ``1..n-1``, and a generation is ranked best first: where ``n <= 15``
+    a vector of their codes ``bits @ 2**arange``, whose infeasible
+    children are repaired by a table over every code; above, a bool
+    matrix, one row per individual, whose infeasible children are
+    repaired in place.  Crossover and mutation are the same bit
+    operations on either, and no child is rejected.  See
+    :func:`ga_optimize` for the generation scheme and the stopping rule.
 
     Each generation's draws come from one stream keyed by
     ``(params.seed, generation)``, generation 0 building the initial
@@ -956,17 +1005,16 @@ def ga_minimize(
     length = n - 1
     pop_size = params.population_size
     memo = _table_memo if length <= _TABLE_LENGTH else _dict_memo
-    ranked, score_of, taus_of, visited = memo(fitness, n, min_len, cap)
+    encode, repair, ranked, score_of, taus_of, visited = memo(fitness, n, min_len, cap)
 
     elite_count = max(1, round(params.elite_fraction * pop_size))
     child_count = pop_size - elite_count
     draws = _draws(params, n, child_count)
     include_prob = min(1.0, 3.0 / n)
     rng = np.random.default_rng((params.seed, 0))
-    pop = rng.random((pop_size, length)) < include_prob
-    pop[0] = False  # the empty configuration
-    _repair(pop, n, min_len, cap)
-    pop, best = ranked(pop)
+    bits = rng.random((pop_size, length)) < include_prob
+    bits[0] = False  # the empty configuration
+    pop, best = ranked(repair(encode(bits)))
     history = [score_of(best)]
     stagnation = 0
     generations = 0
@@ -977,8 +1025,7 @@ def ga_minimize(
         second = pop[second_rank]
         # Uniform crossover as bit operations: the second parent's bit where
         # a crossed child takes it, the first parent's elsewhere.
-        children = first ^ ((first ^ second) & take) ^ flips
-        _repair(children, n, min_len, cap)
+        children = repair(first ^ ((first ^ second) & encode(take)) ^ encode(flips))
         pop, gen_best = ranked(np.concatenate((pop[:elite_count], children)))
         generations = gen
         stagnation = 0 if score_of(gen_best) < score_of(best) else stagnation + 1

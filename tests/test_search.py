@@ -32,6 +32,7 @@ from cetseg.search import (
     _keys,
     _reference,
     _repair,
+    _repair_table,
     _taus_of,
     evaluate,
     exhaustive_optimize,
@@ -286,6 +287,73 @@ class TestRepair:
         drawn = bits.copy()
         assert _repaired(bits, 10, 2, 2) == [(3, 7), (3, 8), (3,), (2, 4)]
         assert np.array_equal(bits[0], drawn[0])
+
+
+def _repair_by_code(n, min_len, max_m):
+    """The GA's repair table, or the identity where it keeps none."""
+    fix = _repair_table(n, min_len, max_m)
+    if fix is None:
+        assert min_len == 1 and max_m >= n - 1
+        return np.arange(1 << (n - 1))
+    assert fix.shape == (1 << (n - 1),)
+    return fix
+
+
+class TestRepairTable:
+    @pytest.mark.parametrize("n", range(2, 16))
+    def test_is_the_greedy_reference_on_every_code(self, n):
+        rows = (np.arange(1 << (n - 1))[:, None] >> np.arange(n - 1) & 1).astype(bool)
+        for min_len in (1, 2, 3, 4):
+            for max_m in sorted({0, 1, 2, n - 1}):
+                fixed = _repair_by_code(n, min_len, max_m)
+                expected = [_greedy_repair(row, n, min_len, max_m) for row in rows]
+                assert [tuple((np.flatnonzero(code >> np.arange(n - 1) & 1) + 1).tolist())
+                        for code in fixed] == expected, (min_len, max_m)
+
+    @pytest.mark.parametrize("n", range(2, 16))
+    def test_fixed_points_are_exactly_the_feasible_codes(self, n):
+        # Codes off the feasible set rank as the best one, so none may pass.
+        bit = 1 << np.arange(n - 1)
+        codes = np.arange(1 << (n - 1))
+        for min_len in range(1, min(4, n) + 1):
+            for max_m in sorted({0, 1, 2, n - 1}):
+                fixed = _repair_by_code(n, min_len, max_m)
+                feasible = np.concatenate(list(_feasible_rows(n, min_len, max_m))) @ bit
+                assert sorted(feasible.tolist()) == codes[fixed == codes].tolist()
+                assert np.array_equal(fixed[fixed], fixed)  # repair is idempotent
+
+
+def _draw_by_reshape(params, n, child_count, gen):
+    """Reference for ``_draw``: the same stream, each pair of tournament
+    winners taken as the minimum over a ``(C, 2, 3)`` view of the picks."""
+    length = n - 1
+    rng = np.random.default_rng((params.seed, gen))
+    picks = rng.integers(0, params.population_size, (child_count, 6))
+    crossed = rng.random(child_count) < params.crossover_prob
+    from_second = rng.random((child_count, length)) < 0.5
+    flips = rng.random((child_count, length)) < params.mutation_rate / length
+    winners = picks.reshape(child_count, 2, 3).min(axis=2)
+    return winners[:, 0], winners[:, 1], crossed[:, None] & from_second, flips
+
+
+@given(seed=st.integers(0, 2**32 - 1), gen=st.integers(1, 20000),
+       population=st.integers(2, 300), data=st.data(),
+       n=st.one_of(st.integers(2, 40), st.just(362)),
+       crossover=st.sampled_from([0.0, 0.8, 1.0]),
+       mutation=st.sampled_from([0.0, 1.0, 4.0, "above n - 1"]))
+@settings(max_examples=150, deadline=None)
+def test_draw_is_the_reshape_reference_bit_for_bit(seed, gen, population, data, n, crossover,
+                                                    mutation):
+    child_count = data.draw(st.integers(1, population - 1))
+    rate = float(n) if mutation == "above n - 1" else mutation  # flips every bit
+    params = GAParams(population_size=population, crossover_prob=crossover,
+                      mutation_rate=rate, seed=seed)
+    got = search._draw(params, n, child_count, gen)
+    expected = _draw_by_reshape(params, n, child_count, gen)
+    for a, b in zip(got, expected):
+        assert a.dtype == b.dtype and np.array_equal(a, b)
+    if mutation == "above n - 1":
+        assert got[3].all()
 
 
 class TestMemoKeys:
@@ -637,6 +705,25 @@ class TestSharedDraws:
         assert alone[2].generations_run < 12
         # every generation 1..30 was drawn once, by whichever search reached it first
         assert sorted(gen for _, gen in built if gen) == list(range(1, 31))
+
+    def test_searches_over_codes_match_their_unscoped_runs(self, monkeypatch):
+        # At N = 13 individuals are codes; the second search replays kept
+        # draws, which come back as bool arrays.
+        n = 13
+        calls = [
+            lambda: ga_minimize(_model_fitness(ar1_series(34, n), ModelSpec("mean-shift", "ar1")),
+                                n, 1, self.PARAMS),
+            lambda: ga_minimize(_model_fitness(ar1_series(35, n), ModelSpec("fixed-slope", "ar1",
+                                                                            "mdl")),
+                                n, 2, self.PARAMS, max_m=2),
+        ]
+        alone = [call() for call in calls]
+        built = self._count_generators(monkeypatch)
+        with shared_scope():
+            shared = [call() for call in calls]
+        assert shared == alone
+        assert [run.generations_run for run in alone] == [12, 12]
+        assert built == [(4, gen) for gen in range(13)] + [(4, 0)]
 
     @pytest.mark.parametrize("change", [
         {"seed": 5},
