@@ -167,8 +167,13 @@ class ChangepointConfiguration:
         return len(self.taus)
 
     def boundaries(self, n: int) -> tuple[int, ...]:
-        """Boundary indices including the implicit 0 and ``n``."""
-        self._check_n(n)
+        """Boundary indices including the implicit 0 and ``n``.  Raises
+        :class:`DomainError` unless every changepoint is interior to a series
+        of length ``n``."""
+        if self.taus and self.taus[-1] >= n:
+            raise DomainError(
+                f"changepoint {self.taus[-1]} not interior to a series of length {n}"
+            )
         return (0, *self.taus, n)
 
     def regime_lengths(self, n: int) -> tuple[int, ...]:
@@ -189,12 +194,6 @@ class ChangepointConfiguration:
             raise DomainError(
                 f"configuration {self.taus} has a regime shorter than "
                 f"{min_segment_length} in a series of length {n}"
-            )
-
-    def _check_n(self, n: int) -> None:
-        if self.taus and self.taus[-1] >= n:
-            raise DomainError(
-                f"changepoint {self.taus[-1]} not interior to a series of length {n}"
             )
 
 

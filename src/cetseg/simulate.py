@@ -40,7 +40,7 @@ class SimSpec:
         if self.n < 1:
             raise DomainError("n must be >= 1")
         config = ChangepointConfiguration(tuple(self.taus))
-        config._check_n(self.n)
+        config.boundaries(self.n)
         object.__setattr__(self, "taus", config.taus)
         mus = tuple(float(v) for v in self.mus)
         if len(mus) != config.m + 1:

@@ -34,7 +34,11 @@ def test_each_run_records_its_affinity_and_load(tmp_path, monkeypatch):
     monkeypatch.setattr(tool, "_run", fake_run)
     monkeypatch.setattr(tool, "_git", lambda tree, *args: "")
     (tmp_path / "a" / "src").mkdir(parents=True)
-    (tmp_path / "b" / "src").mkdir(parents=True)
+    (tmp_path / "b" / "src" / "pkg").mkdir(parents=True)
+    (tmp_path / "a" / "src" / "one.py").write_text("x = 1\ny = 2\n", encoding="utf-8")
+    (tmp_path / "b" / "src" / "one.py").write_text("x = 1\n", encoding="utf-8")
+    (tmp_path / "b" / "src" / "pkg" / "two.py").write_text("a\nb\nc\n", encoding="utf-8")
+    (tmp_path / "b" / "src" / "pkg" / "data.json").write_text("{}\n{}\n", encoding="utf-8")
     assert tool.main(["--pr", "0", "--tree", f"a={tmp_path / 'a'}",
                       "--tree", f"b={tmp_path / 'b'}"]) == 0
 
@@ -48,3 +52,6 @@ def test_each_run_records_its_affinity_and_load(tmp_path, monkeypatch):
     assert first["values"]["run_s"] == [1.5, 4.5]
     assert doc["records"]["b"]["results"]["fit-default"]["1"]["affinity"] == [2, 3]
     assert doc["records"]["a"]["runs"] == 2
+    # the Python files under src/, nested ones included, as wc -l counts them
+    assert doc["records"]["a"]["src_lines"] == 2
+    assert doc["records"]["b"]["src_lines"] == 4

@@ -15,20 +15,21 @@ class TestSimSpec:
         assert spec.phi == 0.0
 
     @pytest.mark.parametrize(
-        "kw",
+        "kw, match",
         [
-            dict(n=0),
-            dict(n=10, taus=(10,), mus=(0.0, 1.0)),  # boundary at series end
-            dict(n=10, taus=(4,), mus=(1.0,)),  # one level short
-            dict(n=10, taus=(4,), mus=(1.0, 2.0), betas=(0.1,)),
-            dict(n=10, phi=1.0),
-            dict(n=10, phi=-1.2),
-            dict(n=10, sigma=-0.5),
-            dict(n=10, seed=-1),
+            (dict(n=0), "n must be"),
+            (dict(n=10, taus=(10,), mus=(0.0, 1.0)), "not interior"),  # boundary at series end
+            (dict(n=10, taus=(4,), mus=(1.0,)), "regime levels"),  # one level short
+            (dict(n=10, taus=(4,), mus=(1.0, 2.0), betas=(0.1,)), "regime slopes"),
+            (dict(n=10, phi=1.0), "stationary"),
+            (dict(n=10, phi=-1.2), "stationary"),
+            (dict(n=10, sigma=-0.5), "sigma must be"),
+            (dict(n=10, seed=-1), "seed must be"),
         ],
+        ids=[f"kw{i}" for i in range(8)],
     )
-    def test_rejects_inconsistent_specs(self, kw):
-        with pytest.raises(DomainError):
+    def test_rejects_inconsistent_specs(self, kw, match):
+        with pytest.raises(DomainError, match=match):
             SimSpec(**kw)
 
     @pytest.mark.parametrize("name, kw", [

@@ -11,11 +11,12 @@ alternating between the trees run by run and reversing their order every
 other round, so that drift in the host's speed reaches all trees alike.
 The result is written afresh to ``BENCH_<pr>.json`` at the repository
 root: per tree, its ``git rev-parse HEAD``, whether its working tree
-differed from that commit, a SHA-256 of the ``src/`` files it ran, the
-environment line of its first run and, per workload and seed, the median
-over runs of each end-to-end metric, the per-run values, each run's CPU
-affinity and load average before it (a two-process run is only fast when
-the second CPU is free), and the number of failed operations.
+differed from that commit, a SHA-256 of the ``src/`` files it ran and
+their line count, the environment line of its first run and, per
+workload and seed, the median over runs of each end-to-end metric, the
+per-run values, each run's CPU affinity and load average before it (a
+two-process run is only fast when the second CPU is free), and the
+number of failed operations.
 """
 
 from __future__ import annotations
@@ -39,12 +40,21 @@ def _git(tree: Path, *args: str) -> str:
                           text=True, check=True).stdout.strip()
 
 
+def _src_files(tree: Path) -> list[Path]:
+    return sorted((tree / "src").rglob("*.py"))
+
+
 def _src_digest(tree: Path) -> str:
     digest = hashlib.sha256()
-    for path in sorted((tree / "src").rglob("*.py")):
+    for path in _src_files(tree):
         digest.update(str(path.relative_to(tree)).encode())
         digest.update(path.read_bytes())
     return digest.hexdigest()
+
+
+def _src_lines(tree: Path) -> int:
+    """Lines of the files :func:`_src_digest` reads, counted as ``wc -l`` does."""
+    return sum(path.read_bytes().count(b"\n") for path in _src_files(tree))
 
 
 def _run(tree: Path, workload: str, seed: int) -> tuple[dict, dict]:
@@ -78,6 +88,7 @@ def main(argv: list[str] | None = None) -> int:
             "commit": _git(tree, "rev-parse", "HEAD"),
             "dirty": bool(_git(tree, "status", "--porcelain", "--", "src", "perfbench")),
             "src_sha256": _src_digest(tree),
+            "src_lines": _src_lines(tree),
             "command": f"perfbench/run.py --seconds {SECONDS} --trace 0",
             "runs": RUNS,
             "environment": None,
