@@ -81,8 +81,8 @@ _COMPARE_ROWS = [
 _SIGMA2_ROW = ("trend-shift", "wn", "bic")
 
 # compare's worker runs these families' rows (1, 2, 7, 8), this process the
-# rest.  Alone in-process at --generations 40 on the benchmark fixture the
-# groups take 96-107 and 91-96 ms; split by penalty they took 120 and 90 ms.
+# rest.  Alone in-process at --generations 40 on the benchmark fixture they
+# take 94-100 and 103-106 ms; split by penalty they took 120 and 90 ms.
 _WORKER_FAMILIES = ("mean-shift", "fixed-slope")
 
 
@@ -363,11 +363,10 @@ def _compare_rows(series: TimeSeries, params: GAParams, max_m: int | None,
     trend-shift, joinpin and long-memory rows, then the rows of
     ``_WORKER_FAMILIES``, in a forked worker where fork is safe.  In one
     ``shared_scope()``, which a worker inherits empty, each process draws
-    each generation of its GA rows once and builds each family's
-    per-regime tables once.  The earliest failing row in table order
-    raises its error; a row that a group skipped follows that group's
-    failure.  A worker that dies without sending its rows raises
-    ``RuntimeError``.
+    each generation of its GA rows once.  The earliest failing row in
+    table order raises its error; a row that a group skipped follows
+    that group's failure.  A worker that dies without sending its rows
+    raises ``RuntimeError``.
     """
     args = (series, params, max_m, sigma2)
     local_rows = [row for row in _COMPARE_ROWS if row[0] not in _WORKER_FAMILIES]

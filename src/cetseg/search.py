@@ -47,11 +47,10 @@ order.  A generation's draws depend only on ``(seed, generation)`` and
 on the key ``(seed, population size, child count, N - 1, crossover
 probability, per-position flip probability)``, never on the fitness
 or the population, so searches that share the key draw the same
-arrays.  Inside a :func:`shared_scope`, which also keeps the last
-per-regime tables, they are drawn once, kept compactly up to a size
-limit, and replayed to every later search with that key; outside any
-scope each search draws its own and keeps nothing.  Replaying a kept
-generation costs about 2% of drawing it.
+arrays.  Inside a :func:`shared_scope` they are drawn once, kept
+compactly up to a size limit, and replayed to every later search with
+that key; outside any scope each search draws its own and keeps
+nothing.  Replaying a kept generation costs about 2% of drawing it.
 
 Ties are broken identically everywhere: lower score, then fewer
 changepoints, then lexicographically smaller boundary indices.
@@ -84,7 +83,7 @@ from .core import (
     TimeSeries,
 )
 from .estimation import LOG_2PI
-from .fastscore import KEPT_TABLES, by_length, regime_tables, row_blocks, score_function
+from .fastscore import by_length, regime_tables, row_blocks, score_function
 from .penalties import penalty_parts, penalty_value
 
 __all__ = [
@@ -786,20 +785,18 @@ _SHARED_BYTES = 8 * 2**20
 
 @contextmanager
 def shared_scope() -> Iterator[None]:
-    """Let the searches run inside this scope share their draws and tables.
+    """Let the searches run inside this scope share their draws.
 
     Each GA generation's random arrays are drawn once per draw key (see
     :func:`ga_minimize`) and replayed to every later search with the
-    same key, and the last :func:`~cetseg.fastscore.regime_tables` are
-    reused where they fit, so the searches' results are exactly those
-    they give alone.  A scope starts empty and drops it all on exit.
+    same key, so the searches' results are exactly those they give
+    alone.  A scope starts empty and drops its draws on exit.
     """
-    draws, tables = _SHARED.set({}), KEPT_TABLES.set([])
+    draws = _SHARED.set({})
     try:
         yield
     finally:
         _SHARED.reset(draws)
-        KEPT_TABLES.reset(tables)
 
 
 def _draw(params: GAParams, n: int, child_count: int, gen: int):

@@ -189,74 +189,51 @@ def test_exact_search_builds_its_rss_table_once(monkeypatch, penalty):
     assert built == [3, 3]
 
 
-class TestSharedTables:
-    """Inside a shared_scope(), regime_tables keeps one family's tables."""
+def test_a_scope_keeps_no_search_tables(monkeypatch):
+    # a search's tables live as long as its scorer, also inside a scope
+    refs = []
 
-    def test_both_penalties_of_a_family_build_once(self, table_builds):
-        series = _cet_like(1)
-        configs = Regimes(list(_random_configs(series, 1, 50, 3)), series.n)
+    def tracked(values, min_len, trend, ar1):
+        tables, floor = regime_tables(values, min_len, trend, ar1)
+        refs.extend(weakref.ref(table) for table in tables)
+        return tables, floor
+
+    monkeypatch.setattr(fastscore, "regime_tables", tracked)
+    monkeypatch.setattr(search, "regime_tables", tracked)
+    series = _cet_like(1)
+    gc.disable()
+    try:
         with search.shared_scope():
-            scores = [score_function(series, ModelSpec("mean-shift", "ar1", penalty))(configs)
-                      for penalty in ("bic", "mdl")]
-        assert table_builds == [(1, False, True)]
-        for penalty, score in zip(("bic", "mdl"), scores):
-            alone = score_function(series, ModelSpec("mean-shift", "ar1", penalty))(configs)
-            assert np.array_equal(score, alone, equal_nan=True)
+            reports = [
+                search.ga_optimize(series, ModelSpec("mean-shift", "ar1", "bic"),
+                                   GAParams(population_size=10, max_generations=2)),
+                search.exact_optimize(series, ModelSpec("trend-shift", "wn", "bic")),
+            ]
+            assert len(refs) == 5  # four AR(1) tables, one RSS table
+            assert [ref for ref in refs if ref() is not None] == []
+    finally:
+        gc.enable()
+    assert all(reports)
 
-    def test_a_white_noise_search_reads_the_ar1_rss_table(self, table_builds):
-        series = _cet_like(1)
-        wn = ModelSpec("trend-shift", "wn", "bic")
-        with search.shared_scope():
-            score_function(series, ModelSpec("trend-shift", "ar1", "bic"))
-            report = search.exact_optimize(series, wn)
-            [kept], _ = regime_tables(series.values, 3, True, False)
-            assert table_builds == [(3, True, True)]
-            # the lag-1 tables were dropped, so an AR(1) search builds again
-            regime_tables(series.values, 3, True, True)
-            assert table_builds == [(3, True, True)] * 2
-        [fresh], _ = fastscore._build_tables(series.values, 3, True, False)
-        assert np.array_equal(kept, fresh)
-        assert report == search.exact_optimize(series, wn)
 
-    def test_another_key_rebuilds(self, table_builds):
-        values, other = _cet_like(1).values, _cet_like(2).values
-        with search.shared_scope():
-            for args in ((values, 1, False, True), (values, 3, True, True),
-                         (values, 1, False, True), (other, 1, False, True),
-                         (values, 3, True, False), (values, 3, True, True)):
-                regime_tables(*args)
-        # the last: an AR(1) call after a white-noise entry builds again
-        assert table_builds == [(1, False, True), (3, True, True), (1, False, True),
-                                (1, False, True), (3, True, False), (3, True, True)]
+def test_tables_are_read_only(monkeypatch):
+    # the exact search's DP and its scorer share one RSS table
+    handed = []
+    scorer = search.score_function
 
-    def test_nothing_is_kept_outside_a_scope(self, table_builds):
-        values = _cet_like(1).values
-        regime_tables(values, 1, False, True)
-        regime_tables(values, 1, False, True)
-        with search.shared_scope():
-            pass
-        regime_tables(values, 1, False, True)
-        assert table_builds == [(1, False, True)] * 3
+    def recorded(series, model, tables=None):
+        handed.append(tables)
+        return scorer(series, model, tables)
 
-    def test_kept_tables_are_read_only(self):
-        with search.shared_scope():
-            tables, _ = regime_tables(_cet_like(1).values, 1, False, True)
-            [rss], _ = regime_tables(_cet_like(1).values, 1, False, False)
-        for table in (*tables, rss):
-            with pytest.raises(ValueError):
-                table[5, 2] = 0.0
-
-    def test_tables_are_freed_at_scope_exit_without_the_cycle_collector(self):
-        gc.disable()
-        try:
-            with search.shared_scope():
-                tables, _ = regime_tables(_cet_like(1).values, 3, True, True)
-                refs = [weakref.ref(table) for table in tables]
-                del tables
-                assert all(ref() is not None for ref in refs)
-            assert all(ref() is None for ref in refs)
-        finally:
-            gc.enable()
+    monkeypatch.setattr(search, "score_function", recorded)
+    series = _cet_like(1)
+    search.exact_optimize(series, ModelSpec("trend-shift", "wn", "bic"))
+    [([exact_rss], _)] = handed
+    ar1_tables, _ = regime_tables(series.values, 1, False, True)
+    [wn_rss], _ = regime_tables(series.values, 3, True, False)
+    for table in (*ar1_tables, wn_rss, exact_rss):
+        with pytest.raises(ValueError):
+            table[5, 2] = 0.0
 
 
 def test_winner_whose_refit_disagrees_raises(monkeypatch):

@@ -824,13 +824,6 @@ class TestCliCompare:
         assert main(["compare", "--input", csv_file, "--format", "csv", *FAST]) == 0
         assert drawn and len(drawn) == len(set(drawn))
 
-    def test_in_process_compare_builds_two_ar1_table_sets(self, csv_file, capsys,
-                                                         monkeypatch, table_builds):
-        # rows 3-6 share the trend-shift tables, rows 1-2 the mean-shift ones
-        monkeypatch.setattr(cli, "_fork_is_safe", lambda: False)
-        assert main(["compare", "--input", csv_file, "--format", "csv", *FAST]) == 0
-        assert table_builds == [(3, True, True), (1, False, True)]
-
     @pytest.mark.skipif(not _CAN_FORK, reason="fork is unavailable or unsafe here")
     def test_unflushed_stdout_is_written_once(self, csv_file, tmp_path, monkeypatch):
         # text left in a block-buffered stdout when the worker forks must
